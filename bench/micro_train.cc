@@ -1,11 +1,14 @@
 // Micro-benchmarks: decision tree, random forest and GBDT training
 // throughput.
 //
-// Since PR 5 the trainers run on the sort-once column-index engine
-// (src/tree/sorted_columns.h + trainer_core.h); every engine benchmark is
-// paired with its retained naive reference (`*Reference`, per-node
-// re-sorting) measured in the SAME run — the two produce bit-identical
-// models by the trainer equivalence contract, so the gap is pure engine.
+// The trainers run on the sort-once column-index engine
+// (src/tree/sorted_columns.h + trainer_core.h); every single-tree engine
+// benchmark is paired with its retained naive reference (`*Reference`,
+// per-node re-sorting) measured in the SAME run — the two produce
+// bit-identical trees by the trainer equivalence contract, so the gap is
+// pure engine. Benchmarks whose column sort, binning pass or tree fan-out
+// runs on the thread pool report real time (UseRealTime): CPU time would
+// count only the main thread.
 //
 // The BM_Million* family is the histogram trainer gate (PR 8): the exact
 // engine vs the opt-in binned-gradient engine on a ONE-MILLION-row fixture,
@@ -59,7 +62,8 @@ BENCHMARK(BM_TreeFit)
     ->Args({2000, 10})
     ->Args({2000, 50})
     ->Args({8000, 20})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TreeFitReference(benchmark::State& state) {
   const auto& data = CachedBlobs(static_cast<size_t>(state.range(0)),
@@ -110,7 +114,8 @@ void BM_SortedColumnsBuild(benchmark::State& state) {
 BENCHMARK(BM_SortedColumnsBuild)
     ->Args({2000, 10})
     ->Args({8000, 20})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TreeFitBestFirst(benchmark::State& state) {
   const auto& data = CachedBlobs(4000, 20);
@@ -121,7 +126,12 @@ void BM_TreeFitBestFirst(benchmark::State& state) {
     benchmark::DoNotOptimize(tree);
   }
 }
-BENCHMARK(BM_TreeFitBestFirst)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TreeFitBestFirst)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TreeFitBestFirstReference(benchmark::State& state) {
   const auto& data = CachedBlobs(4000, 20);
@@ -148,7 +158,7 @@ void BM_TreeFitWeighted(benchmark::State& state) {
     benchmark::DoNotOptimize(tree);
   }
 }
-BENCHMARK(BM_TreeFitWeighted)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TreeFitWeighted)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_TreeFitWeightedReference(benchmark::State& state) {
   const auto& data = CachedBlobs(4000, 20);
@@ -175,25 +185,12 @@ void BM_ForestFit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ForestFit)->Arg(8)->Arg(32)->Arg(80)->Unit(benchmark::kMillisecond);
-
-void BM_ForestFitReference(benchmark::State& state) {
-  const auto& data = CachedBlobs(4000, 20);
-  forest::ForestConfig config;
-  config.num_trees = static_cast<size_t>(state.range(0));
-  config.seed = 5;
-  config.use_reference_trainer = true;
-  for (auto _ : state) {
-    auto forest = forest::RandomForest::Fit(data, {}, config);
-    benchmark::DoNotOptimize(forest);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ForestFitReference)
+BENCHMARK(BM_ForestFit)
     ->Arg(8)
     ->Arg(32)
     ->Arg(80)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ForestFitSerial(benchmark::State& state) {
   const auto& data = CachedBlobs(4000, 20);
@@ -206,7 +203,7 @@ void BM_ForestFitSerial(benchmark::State& state) {
     benchmark::DoNotOptimize(forest);
   }
 }
-BENCHMARK(BM_ForestFitSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForestFitSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --------------------------------------------------------------- GBDT ----
 
@@ -224,24 +221,8 @@ void BM_GbdtFit(benchmark::State& state) {
 BENCHMARK(BM_GbdtFit)
     ->Args({2000, 10, 50})
     ->Args({4000, 20, 50})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GbdtFitReference(benchmark::State& state) {
-  const auto& data = CachedBlobs(static_cast<size_t>(state.range(0)),
-                                 static_cast<size_t>(state.range(1)));
-  boosting::GbdtConfig config;
-  config.num_trees = static_cast<size_t>(state.range(2));
-  config.use_reference_trainer = true;
-  for (auto _ : state) {
-    auto model = boosting::Gbdt::Fit(data, config);
-    benchmark::DoNotOptimize(model);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(2));
-}
-BENCHMARK(BM_GbdtFitReference)
-    ->Args({2000, 10, 50})
-    ->Args({4000, 20, 50})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ------------------------------------------- million-row histogram gate ----
 
@@ -277,7 +258,10 @@ void BM_MillionSortedColumnsBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(sorted);
   }
 }
-BENCHMARK(BM_MillionSortedColumnsBuild)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionSortedColumnsBuild)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MillionBinnedColumnsBuild(benchmark::State& state) {
   const auto& data = MillionBlobs();
@@ -286,7 +270,10 @@ void BM_MillionBinnedColumnsBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(binned);
   }
 }
-BENCHMARK(BM_MillionBinnedColumnsBuild)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionBinnedColumnsBuild)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MillionTreeFitExact(benchmark::State& state) {
   const auto& data = MillionBlobs();
@@ -297,7 +284,10 @@ void BM_MillionTreeFitExact(benchmark::State& state) {
     state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
   }
 }
-BENCHMARK(BM_MillionTreeFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionTreeFitExact)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MillionTreeFitHistogram(benchmark::State& state) {
   const auto& data = MillionBlobs();
@@ -308,7 +298,10 @@ void BM_MillionTreeFitHistogram(benchmark::State& state) {
     state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
   }
 }
-BENCHMARK(BM_MillionTreeFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionTreeFitHistogram)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void MillionForestBody(benchmark::State& state, tree::TrainerMode mode) {
   const auto& data = MillionBlobs();
@@ -327,12 +320,18 @@ void MillionForestBody(benchmark::State& state, tree::TrainerMode mode) {
 void BM_MillionForestFitExact(benchmark::State& state) {
   MillionForestBody(state, tree::TrainerMode::kExact);
 }
-BENCHMARK(BM_MillionForestFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionForestFitExact)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MillionForestFitHistogram(benchmark::State& state) {
   MillionForestBody(state, tree::TrainerMode::kHistogram);
 }
-BENCHMARK(BM_MillionForestFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionForestFitHistogram)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // GBDT is where the bin-once multiplier pays: one binning pass serves every
 // boosting round, and each round's split search is O(bins), not O(rows).
@@ -355,12 +354,18 @@ void MillionGbdtBody(benchmark::State& state, tree::TrainerMode mode) {
 void BM_MillionGbdtFitExact(benchmark::State& state) {
   MillionGbdtBody(state, tree::TrainerMode::kExact);
 }
-BENCHMARK(BM_MillionGbdtFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionGbdtFitExact)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MillionGbdtFitHistogram(benchmark::State& state) {
   MillionGbdtBody(state, tree::TrainerMode::kHistogram);
 }
-BENCHMARK(BM_MillionGbdtFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MillionGbdtFitHistogram)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

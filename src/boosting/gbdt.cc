@@ -16,11 +16,6 @@ Status GbdtConfig::Validate() const {
   if (learning_rate <= 0.0 || learning_rate > 1.0) {
     return Status::InvalidArgument("learning_rate must be in (0,1]");
   }
-  if (use_reference_trainer &&
-      tree.trainer_mode != tree::TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
   return tree.Validate();
 }
 
@@ -57,17 +52,15 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
   std::shared_ptr<const tree::BinnedColumns> binned;
   const bool histogram =
       config.tree.trainer_mode == tree::TrainerMode::kHistogram;
-  if (!config.use_reference_trainer) {
-    if (histogram) {
-      std::unique_ptr<ThreadPool> local_pool;
-      ThreadPool* pool =
-          tree::ResolveTrainerPool(config.tree.num_threads, &local_pool);
-      TREEWM_ASSIGN_OR_RETURN(
-          binned, tree::BinnedColumns::Build(
-                      dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
-    } else {
-      sorted = tree::SortedColumns::Build(dataset);
-    }
+  if (histogram) {
+    std::unique_ptr<ThreadPool> local_pool;
+    ThreadPool* pool =
+        tree::ResolveTrainerPool(config.tree.num_threads, &local_pool);
+    TREEWM_ASSIGN_OR_RETURN(
+        binned, tree::BinnedColumns::Build(
+                    dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
+  } else {
+    sorted = tree::SortedColumns::Build(dataset);
   }
 
   for (size_t round = 0; round < config.num_trees; ++round) {
@@ -78,10 +71,8 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
     }
     TREEWM_ASSIGN_OR_RETURN(
         RegressionTree tree,
-        config.use_reference_trainer
-            ? RegressionTree::FitReference(dataset, residuals, config.tree)
-            : RegressionTree::Fit(dataset, residuals, config.tree, sorted.get(),
-                                  binned.get()));
+        RegressionTree::Fit(dataset, residuals, config.tree, sorted.get(),
+                            binned.get()));
 
     // Newton step per leaf: gamma = sum(residual) / sum(p(1-p)).
     std::vector<double> numerator(tree.nodes().size(), 0.0);

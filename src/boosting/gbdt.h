@@ -32,11 +32,6 @@ struct GbdtConfig {
   double learning_rate = 0.1;
   /// Member-tree induction parameters (shallow by default).
   RegressionTreeConfig tree;
-  /// Fit member trees with the retained naive trainer
-  /// (RegressionTree::FitReference) instead of the sort-once engine. Slow;
-  /// exists so the bit-identical equivalence contract is testable end to
-  /// end through the boosting loop (and as the bench baseline).
-  bool use_reference_trainer = false;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -74,9 +69,7 @@ class Gbdt {
 
   /// Packed inference image, built lazily on the first batch call and shared
   /// across calls (and copies) — the model is immutable after Fit, so the
-  /// cache can never go stale. The image in turn caches its quantized
-  /// sibling, so per-call kernel dispatch (see batch_predictor.h) never
-  /// rebuilds either.
+  /// cache can never go stale.
   std::shared_ptr<const predict::FlatEnsemble> Flat() const;
 
   std::vector<RegressionTree> trees_;

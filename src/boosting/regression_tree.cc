@@ -78,11 +78,9 @@ BestSplit FindBestSplitNaive(const data::Dataset& dataset,
                           right_sum * right_sum / static_cast<double>(right_count) -
                           parent_term;
       if (gain > min_gain && gain > best.gain) {
-        float threshold =
-            entries[i].value + (entries[i + 1].value - entries[i].value) * 0.5f;
-        if (threshold >= entries[i + 1].value) threshold = entries[i].value;
         best.feature = static_cast<int>(f);
-        best.threshold = threshold;
+        best.threshold =
+            tree::MidpointThreshold(entries[i].value, entries[i + 1].value);
         best.gain = gain;
       }
     }
@@ -282,13 +280,12 @@ Result<RegressionTree> RegressionTree::Fit(const data::Dataset& dataset,
     return Status::InvalidArgument(
         "binned columns passed but trainer_mode is exact");
   }
-  TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted, dataset));
-
   std::shared_ptr<const tree::SortedColumns> owned_sorted;
   if (sorted == nullptr) {
     owned_sorted = tree::SortedColumns::Build(dataset);
     sorted = owned_sorted.get();
   }
+  TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted, dataset));
   std::vector<int> features(dataset.num_features());
   for (size_t j = 0; j < dataset.num_features(); ++j) features[j] = static_cast<int>(j);
   // The identity column keeps each node's members in ascending row order so
@@ -360,6 +357,7 @@ Result<RegressionTree> RegressionTree::FitReference(
     return Status::InvalidArgument(
         "the reference trainer is the exact-mode spec; it has no histogram mode");
   }
+  TREEWM_RETURN_IF_ERROR(tree::CheckOrderable(dataset));
 
   RegressionTree tree;
   tree.num_features_ = dataset.num_features();

@@ -38,13 +38,10 @@ Result<TriggerTrainingResult> TrainWithTrigger(
 
   // Sample weights never change the per-feature sort order, so the column
   // sort is paid once here and shared across EVERY weight-boosting retrain.
-  // Validate the forest config first so a bad config fails before the sort,
-  // and skip the sort entirely when the reference trainer is selected.
+  // Validate the forest config first so a bad config fails before the sort.
   TREEWM_RETURN_IF_ERROR(config.forest.Validate());
-  std::shared_ptr<const tree::SortedColumns> sorted;
-  if (!config.forest.use_reference_trainer) {
-    sorted = tree::SortedColumns::Build(dataset);
-  }
+  const std::shared_ptr<const tree::SortedColumns> sorted =
+      tree::SortedColumns::Build(dataset);
 
   forest::ForestConfig forest_config = config.forest;
   TREEWM_ASSIGN_OR_RETURN(

@@ -47,11 +47,6 @@ class BlackBoxModel {
   /// backed by a real ensemble override it with the batched flat-inference
   /// engine.
   virtual predict::VoteMatrix QueryPredictAllVotes(const data::Dataset& batch) const;
-
-  /// Legacy nested shape; thin adapter over QueryPredictAllVotes kept for
-  /// callers that still want vector<vector<int>>.
-  virtual std::vector<std::vector<int>> QueryPredictAllBatch(
-      const data::Dataset& batch) const;
 };
 
 /// Adapter exposing a RandomForest through the black-box interface.

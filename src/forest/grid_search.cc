@@ -53,9 +53,7 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
     }
     fold_train.push_back(dataset.Subset(train_idx));
     fold_valid.push_back(dataset.Subset(valid_idx));
-    fold_sorted.push_back(config.forest_template.use_reference_trainer
-                              ? nullptr
-                              : tree::SortedColumns::Build(fold_train.back()));
+    fold_sorted.push_back(tree::SortedColumns::Build(fold_train.back()));
   }
 
   // Pre-draw every grid point's forest seed in grid order (the same RNG

@@ -16,11 +16,6 @@ Status ForestConfig::Validate() const {
   if (feature_fraction < 0.0 || feature_fraction > 1.0) {
     return Status::InvalidArgument("feature_fraction must be in [0,1]");
   }
-  if (use_reference_trainer &&
-      tree.trainer_mode != tree::TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
   return tree.Validate();
 }
 
@@ -107,27 +102,22 @@ Result<RandomForest> RandomForest::Fit(
   // read the shared codes directly). Intra-tree parallelism nests safely —
   // ParallelFor runs inline on worker threads, so per-tree histogram
   // fan-outs degrade to serial inside forest workers instead of deadlocking.
-  if (!config.use_reference_trainer) {
-    if (histogram) {
-      if (binned == nullptr) {
-        TREEWM_ASSIGN_OR_RETURN(
-            binned, tree::BinnedColumns::Build(
-                        dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
-      }
-    } else if (sorted == nullptr) {
-      sorted = tree::SortedColumns::Build(dataset);
+  if (histogram) {
+    if (binned == nullptr) {
+      TREEWM_ASSIGN_OR_RETURN(
+          binned, tree::BinnedColumns::Build(
+                      dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
     }
+  } else if (sorted == nullptr) {
+    sorted = tree::SortedColumns::Build(dataset);
+    TREEWM_RETURN_IF_ERROR(sorted->status());
   }
 
   Mutex error_mutex;
   Status first_error;  // guarded by error_mutex inside the fan-out
   ParallelFor(pool, config.num_trees, [&](size_t t) {
-    Result<tree::DecisionTree> fitted =
-        config.use_reference_trainer
-            ? tree::DecisionTree::FitReference(dataset, weights, config.tree,
-                                               subsets[t])
-            : tree::DecisionTree::Fit(dataset, weights, config.tree, subsets[t],
-                                      sorted.get(), binned.get());
+    Result<tree::DecisionTree> fitted = tree::DecisionTree::Fit(
+        dataset, weights, config.tree, subsets[t], sorted.get(), binned.get());
     if (fitted.ok()) {
       forest.trees_[t] = std::move(fitted).MoveValue();
     } else {
@@ -180,11 +170,6 @@ std::vector<int> RandomForest::PredictBatch(const data::Dataset& dataset) const 
 
 predict::VoteMatrix RandomForest::PredictAllVotes(const data::Dataset& dataset) const {
   return predict::BatchPredictor(Flat()).PredictAllVotes(dataset);
-}
-
-std::vector<std::vector<int>> RandomForest::PredictAllBatch(
-    const data::Dataset& dataset) const {
-  return PredictAllVotes(dataset).ToNested();
 }
 
 double RandomForest::Accuracy(const data::Dataset& dataset) const {

@@ -37,11 +37,6 @@ struct ForestConfig {
   uint64_t seed = 1;
   /// Degrees of parallelism: 0 uses the process-global pool, 1 is serial.
   size_t num_threads = 0;
-  /// Fit member trees with the retained naive trainer
-  /// (DecisionTree::FitReference) instead of the sort-once engine. Slow;
-  /// exists so the bit-identical equivalence contract is testable end to
-  /// end through forest training (and as the bench baseline).
-  bool use_reference_trainer = false;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -91,11 +86,6 @@ class RandomForest {
   /// validation) read in place.
   predict::VoteMatrix PredictAllVotes(const data::Dataset& dataset) const;
 
-  /// Per-tree predictions for every row; result[i][t] is tree t's vote on
-  /// row i. Thin compatibility adapter over PredictAllVotes — pays one heap
-  /// row per instance; prefer PredictAllVotes on hot paths.
-  std::vector<std::vector<int>> PredictAllBatch(const data::Dataset& dataset) const;
-
   /// Majority-vote accuracy on `dataset`.
   double Accuracy(const data::Dataset& dataset) const;
 
@@ -121,9 +111,7 @@ class RandomForest {
 
   /// Packed inference image, built lazily on the first batch call and shared
   /// across calls (and copies) — trees_ is immutable after construction, so
-  /// the cache can never go stale. The image in turn caches its quantized
-  /// sibling, so per-call kernel dispatch (see batch_predictor.h) never
-  /// rebuilds either.
+  /// the cache can never go stale.
   std::shared_ptr<const predict::FlatEnsemble> Flat() const;
 
   std::vector<tree::DecisionTree> trees_;

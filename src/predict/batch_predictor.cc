@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string_view>
 
 #include "common/thread_pool.h"
-#include "predict/quantized_ensemble.h"
 
 namespace treewm::predict {
 
 namespace {
-
-// --------------------------------------------------------------------------
-// FloatKey kernel: 32-byte records, rows transformed to uint32 key space.
-// --------------------------------------------------------------------------
 
 /// One traversal step from byte-scaled arena entry rn (>= 0), over a row
 /// pre-transformed into FloatKey space: `key <= threshold_key` (unsigned) is
@@ -139,194 +132,7 @@ inline void TraverseTile(const FlatEnsemble& e, const uint32_t* block_keys,
 }
 
 // --------------------------------------------------------------------------
-// Quantized kernel: 8/16-byte binned records, rows transformed to uint8/16
-// bin space (see quantized_ensemble.h for the exactness argument).
-// --------------------------------------------------------------------------
-
-/// Trailing entries per bin row holding the block-relative row id as a raw
-/// uint32 (bins can be narrower than an id, so it spans several entries; a
-/// row id in a separate per-lane register measured ~25% slower — the third
-/// lane array spilled the bin pointers to the stack in the steady loop).
-template <typename BinT>
-constexpr size_t kRowIdEntries = sizeof(uint32_t) / sizeof(BinT);
-
-template <typename BinT>
-inline uint32_t RowIdAt(const BinT* bin_row, size_t stride) {
-  uint32_t id;
-  std::memcpy(&id, bin_row + stride, sizeof(id));
-  return id;
-}
-
-/// Transforms rows [r0, r1) into bin space: one branchless lower bound per
-/// (row, feature) over the per-feature cut arrays, amortized over every tree
-/// of the ensemble exactly like the FloatKey transform. Each row occupies
-/// stride + kRowIdEntries entries: its feature bins followed by its
-/// block-relative row id, so a traversal lane recovers the row from its bin
-/// pointer alone (same discipline as MakeRowKeys).
-template <typename BinT>
-const BinT* MakeRowBins(const QuantizedEnsemble& q, const data::Dataset& data,
-                        size_t r0, size_t r1) {
-  static thread_local std::vector<BinT> scratch;  // grow-only, per BinT
-  const size_t stride = data.num_features();
-  const size_t stride1 = stride + kRowIdEntries<BinT>;
-  const float* base = data.values().data() + r0 * stride;
-  if (scratch.size() < (r1 - r0) * stride1) scratch.resize((r1 - r0) * stride1);
-  q.BinBlock(base, stride, r1 - r0, scratch.data(), stride1);
-  for (size_t r = 0; r < r1 - r0; ++r) {
-    const uint32_t id = static_cast<uint32_t>(r);
-    std::memcpy(scratch.data() + r * stride1 + stride, &id, sizeof(id));
-  }
-  return scratch.data();
-}
-
-/// One quantized step from tree-local byte-scaled entry rn (>= 0). One
-/// 4-byte load yields feature and bin together; the two children are
-/// loaded as separate PLAIN values (sign-extending at load time, off the
-/// critical path) so the ternary if-converts to a register cmov —
-/// selecting between two shift-extractions of one quadword made gcc emit a
-/// 50%-mispredicting branch instead (the codegen pitfall PR 1's notes call
-/// "ternary-cmov without shift/force"), which cost more than the entire
-/// arena-size win. Children are pre-scaled byte offsets and the cursor is
-/// int64, so — exactly like the FloatKey Step — no shift and no
-/// sign-extend lands in the chain (an int32 node-index cursor paid a
-/// movslq per step). `bin(x) <= node bin` routes identically to the scalar
-/// `x <= v` (the bin boundary sits exactly at the training threshold).
-/// Chain: node-load -> bin-load -> cmp -> cmov, the FloatKey shape against
-/// an arena 2-4x smaller.
-template <typename BinT>
-inline int64_t QStep(const BinT* xb, int64_t rn, const QNode16* nodes) {
-  const char* rec = reinterpret_cast<const char*>(nodes) + rn;
-  uint32_t fb;
-  int16_t c0, c1;
-  std::memcpy(&fb, rec, 4);
-  std::memcpy(&c0, rec + 4, 2);
-  std::memcpy(&c1, rec + 6, 2);
-  const int64_t left = c0, right = c1;
-  return xb[static_cast<uint16_t>(fb)] <= fb >> 16 ? left : right;
-}
-
-template <typename BinT>
-inline int64_t QStep(const BinT* xb, int64_t rn, const QNode32* nodes) {
-  const char* rec = reinterpret_cast<const char*>(nodes) + rn;
-  uint32_t fb;
-  int32_t c0, c1;
-  std::memcpy(&fb, rec, 4);
-  std::memcpy(&c0, rec + 4, 4);
-  std::memcpy(&c1, rec + 8, 4);
-  const int64_t left = c0, right = c1;
-  return xb[static_cast<uint16_t>(fb)] <= fb >> 16 ? left : right;
-}
-
-template <typename BinT, typename Node>
-inline int64_t QWalkFrom(const BinT* xb, int64_t rn, const Node* nodes) {
-  while (rn >= 0) rn = QStep(xb, rn, nodes);
-  return ~rn;
-}
-
-/// Quantized twin of TraverseTile: same refill-on-leaf lane discipline and
-/// the same ascending-tree emit order (regression bit-exactness), but
-/// cursors are tree-local node indices against a per-tree base pointer, and
-/// leaf payloads are rebased through the tree's leaf base. `bins` is the
-/// MakeRowBins image of rows [r0, r1); a lane recovers its row id from the
-/// trailing entries of its bin row.
-template <typename BinT, typename Node, typename LeafFn>
-inline void QTraverseTile(const QuantizedEnsemble& q, const Node* arena,
-                          const BinT* bins, size_t stride, size_t r0,
-                          size_t r1, size_t t0, size_t t1, const LeafFn& fn) {
-  const size_t stride1 = stride + kRowIdEntries<BinT>;
-  const size_t num_rows = r1 - r0;
-  for (size_t t = t0; t < t1; ++t) {
-    const Node* nodes = arena + q.tree_node_base(t);
-    const int64_t leaf_base = q.tree_leaf_base(t);
-    const int64_t entry = q.root(t);
-    if (entry < 0) {  // single-leaf tree
-      for (size_t r = r0; r < r1; ++r) fn(t, r, leaf_base + ~entry);
-      continue;
-    }
-
-    int64_t cursor[kLanes];
-    const BinT* xb[kLanes];
-    size_t next = 0;
-    size_t filled = 0;
-    for (size_t l = 0; l < kLanes; ++l) xb[l] = nullptr;
-    for (; filled < kLanes && next < num_rows; ++filled, ++next) {
-      cursor[filled] = entry;
-      xb[filled] = bins + next * stride1;
-    }
-
-    while (filled == kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        cursor[l] = QStep(xb[l], cursor[l], nodes);
-      }
-      for (size_t l = 0; l < kLanes; ++l) {
-        if (cursor[l] < 0) {
-          fn(t, r0 + RowIdAt(xb[l], stride), leaf_base + ~cursor[l]);
-          if (next < num_rows) {
-            cursor[l] = entry;
-            xb[l] = bins + next * stride1;
-            ++next;
-          } else {
-            xb[l] = nullptr;
-            filled = l;  // any value != kLanes exits the loop
-          }
-        }
-      }
-    }
-
-    for (size_t l = 0; l < kLanes; ++l) {
-      if (xb[l] != nullptr) {
-        fn(t, r0 + RowIdAt(xb[l], stride),
-           leaf_base + QWalkFrom(xb[l], cursor[l], nodes));
-      }
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
-// Kernel objects: a uniform MakeBlock/Traverse/leaf-payload surface so every
-// BatchPredictor method body is written once and instantiated per kernel.
-// --------------------------------------------------------------------------
-
-struct FloatKeyKernel {
-  const FlatEnsemble& e;
-  struct Block {
-    const uint32_t* keys;
-    size_t stride;
-  };
-  Block MakeBlock(const data::Dataset& d, size_t r0, size_t r1) const {
-    return Block{MakeRowKeys(d, r0, r1), d.num_features()};
-  }
-  template <typename LeafFn>
-  void Traverse(const Block& b, size_t r0, size_t r1, size_t t0, size_t t1,
-                const LeafFn& fn) const {
-    TraverseTile(e, b.keys, b.stride, r0, r1, t0, t1, fn);
-  }
-  const int8_t* leaf_labels() const { return e.leaf_labels(); }
-  const double* leaf_values() const { return e.leaf_values(); }
-};
-
-template <typename BinT, typename Node>
-struct QuantizedKernel {
-  const QuantizedEnsemble& q;
-  const Node* arena;
-  struct Block {
-    const BinT* bins;
-    size_t stride;
-  };
-  Block MakeBlock(const data::Dataset& d, size_t r0, size_t r1) const {
-    return Block{MakeRowBins<BinT>(q, d, r0, r1), d.num_features()};
-  }
-  template <typename LeafFn>
-  void Traverse(const Block& b, size_t r0, size_t r1, size_t t0, size_t t1,
-                const LeafFn& fn) const {
-    QTraverseTile(q, arena, b.bins, b.stride, r0, r1, t0, t1, fn);
-  }
-  const int8_t* leaf_labels() const { return q.leaf_labels(); }
-  const double* leaf_values() const { return q.leaf_values(); }
-};
-
-// --------------------------------------------------------------------------
-// Execution planning (kernel-independent).
+// Execution planning.
 // --------------------------------------------------------------------------
 
 /// Resolved execution shape for one batch call: pool + row-block geometry.
@@ -374,24 +180,25 @@ void RunPlan(const Plan& plan, size_t num_rows, const BlockFn& fn) {
 }
 
 // --------------------------------------------------------------------------
-// Method bodies, written once over the kernel surface.
+// Method bodies.
 // --------------------------------------------------------------------------
 
-template <typename Kernel>
-std::vector<int> PredictLabelsImpl(const Kernel& kernel, size_t m,
+std::vector<int> PredictLabelsImpl(const FlatEnsemble& e, size_t m,
                                    const BatchOptions& options,
                                    const data::Dataset& dataset) {
-  const int8_t* labels = kernel.leaf_labels();
+  const int8_t* labels = e.leaf_labels();
+  const size_t stride = dataset.num_features();
   std::vector<int> out(dataset.num_rows());
   const Plan plan = MakePlan(options, dataset.num_rows());
   RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
-    const auto block = kernel.MakeBlock(dataset, r0, r1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     std::vector<int32_t> votes(r1 - r0, 0);
     for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      kernel.Traverse(block, r0, r1, tb, std::min(m, tb + options.tree_block),
-                      [&](size_t, size_t r, int64_t leaf) {
-                        votes[r - r0] += labels[leaf];
-                      });
+      TraverseTile(e, keys, stride, r0, r1, tb,
+                   std::min(m, tb + options.tree_block),
+                   [&](size_t, size_t r, int64_t leaf) {
+                     votes[r - r0] += labels[leaf];
+                   });
     }
     for (size_t r = r0; r < r1; ++r) {
       out[r] = votes[r - r0] >= 0 ? data::kPositive : data::kNegative;
@@ -400,15 +207,15 @@ std::vector<int> PredictLabelsImpl(const Kernel& kernel, size_t m,
   return out;
 }
 
-template <typename Kernel>
-VoteMatrix PredictAllVotesImpl(const Kernel& kernel, size_t m,
+VoteMatrix PredictAllVotesImpl(const FlatEnsemble& e, size_t m,
                                const BatchOptions& options,
                                const data::Dataset& dataset) {
-  const int8_t* labels = kernel.leaf_labels();
+  const int8_t* labels = e.leaf_labels();
+  const size_t stride = dataset.num_features();
   VoteMatrix out(dataset.num_rows(), m);
   const Plan plan = MakePlan(options, dataset.num_rows());
   RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
-    const auto block = kernel.MakeBlock(dataset, r0, r1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     int8_t* base = out.mutable_row(0);
     const size_t rows = r1 - r0;
     // Per tree: emit into a 1-byte-per-row L1 stage (the same cheap store
@@ -424,10 +231,10 @@ VoteMatrix PredictAllVotesImpl(const Kernel& kernel, size_t m,
     // vector inside the emit lambda re-reads TLS every leaf.
     int8_t* const stage = stage_storage.data();
     for (size_t t = 0; t < m; ++t) {
-      kernel.Traverse(block, r0, r1, t, t + 1,
-                      [&](size_t, size_t r, int64_t leaf) {
-                        stage[r - r0] = labels[leaf];
-                      });
+      TraverseTile(e, keys, stride, r0, r1, t, t + 1,
+                   [&](size_t, size_t r, int64_t leaf) {
+                     stage[r - r0] = labels[leaf];
+                   });
       int8_t* dst = base + r0 * m + t;
       for (size_t i = 0; i < rows; ++i) dst[i * m] = stage[i];
     }
@@ -435,21 +242,22 @@ VoteMatrix PredictAllVotesImpl(const Kernel& kernel, size_t m,
   return out;
 }
 
-template <typename Kernel>
-double LabelAccuracyImpl(const Kernel& kernel, size_t m,
+double LabelAccuracyImpl(const FlatEnsemble& e, size_t m,
                          const BatchOptions& options,
                          const data::Dataset& dataset) {
-  const int8_t* labels = kernel.leaf_labels();
+  const int8_t* labels = e.leaf_labels();
+  const size_t stride = dataset.num_features();
   const Plan plan = MakePlan(options, dataset.num_rows());
   std::vector<size_t> block_correct(plan.num_blocks, 0);
   RunPlan(plan, dataset.num_rows(), [&](size_t b, size_t r0, size_t r1) {
-    const auto block = kernel.MakeBlock(dataset, r0, r1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     std::vector<int32_t> votes(r1 - r0, 0);
     for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      kernel.Traverse(block, r0, r1, tb, std::min(m, tb + options.tree_block),
-                      [&](size_t, size_t r, int64_t leaf) {
-                        votes[r - r0] += labels[leaf];
-                      });
+      TraverseTile(e, keys, stride, r0, r1, tb,
+                   std::min(m, tb + options.tree_block),
+                   [&](size_t, size_t r, int64_t leaf) {
+                     votes[r - r0] += labels[leaf];
+                   });
     }
     size_t correct = 0;
     for (size_t r = r0; r < r1; ++r) {
@@ -463,31 +271,32 @@ double LabelAccuracyImpl(const Kernel& kernel, size_t m,
   return static_cast<double>(correct) / static_cast<double>(dataset.num_rows());
 }
 
-template <typename Kernel>
-std::vector<double> ScoresImpl(const Kernel& kernel, size_t m, double initial,
+std::vector<double> ScoresImpl(const FlatEnsemble& e, size_t m, double initial,
                                double lr, const BatchOptions& options,
                                const data::Dataset& dataset) {
-  const double* values = kernel.leaf_values();
+  const double* values = e.leaf_values();
+  const size_t stride = dataset.num_features();
   std::vector<double> out(dataset.num_rows(), initial);
   const Plan plan = MakePlan(options, dataset.num_rows());
   RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
-    const auto block = kernel.MakeBlock(dataset, r0, r1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      kernel.Traverse(block, r0, r1, tb, std::min(m, tb + options.tree_block),
-                      [&](size_t, size_t r, int64_t leaf) {
-                        out[r] += lr * values[leaf];
-                      });
+      TraverseTile(e, keys, stride, r0, r1, tb,
+                   std::min(m, tb + options.tree_block),
+                   [&](size_t, size_t r, int64_t leaf) {
+                     out[r] += lr * values[leaf];
+                   });
     }
   });
   return out;
 }
 
-template <typename Kernel>
-std::vector<double> StagedAccuracyCurveImpl(const Kernel& kernel, size_t m,
+std::vector<double> StagedAccuracyCurveImpl(const FlatEnsemble& e, size_t m,
                                             double initial, double lr,
                                             const BatchOptions& options,
                                             const data::Dataset& dataset) {
-  const double* values = kernel.leaf_values();
+  const double* values = e.leaf_values();
+  const size_t stride = dataset.num_features();
   const Plan plan = MakePlan(options, dataset.num_rows());
   const size_t num_blocks = plan.num_blocks;
   // Per-block stage tallies, merged after the fan-out (integer sums, so the
@@ -495,20 +304,21 @@ std::vector<double> StagedAccuracyCurveImpl(const Kernel& kernel, size_t m,
   std::vector<size_t> block_correct(num_blocks * (m + 1), 0);
   RunPlan(plan, dataset.num_rows(), [&](size_t b, size_t r0, size_t r1) {
     size_t* correct = block_correct.data() + b * (m + 1);
-    const auto block = kernel.MakeBlock(dataset, r0, r1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     std::vector<double> acc(r1 - r0, initial);
     const int stage0 = initial >= 0.0 ? data::kPositive : data::kNegative;
     for (size_t r = r0; r < r1; ++r) {
       if (stage0 == dataset.Label(r)) ++correct[0];
     }
     for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      kernel.Traverse(block, r0, r1, tb, std::min(m, tb + options.tree_block),
-                      [&](size_t t, size_t r, int64_t leaf) {
-                        double& score = acc[r - r0];
-                        score += lr * values[leaf];
-                        const int p = score >= 0.0 ? data::kPositive : data::kNegative;
-                        if (p == dataset.Label(r)) ++correct[t + 1];
-                      });
+      TraverseTile(e, keys, stride, r0, r1, tb,
+                   std::min(m, tb + options.tree_block),
+                   [&](size_t t, size_t r, int64_t leaf) {
+                     double& score = acc[r - r0];
+                     score += lr * values[leaf];
+                     const int p = score >= 0.0 ? data::kPositive : data::kNegative;
+                     if (p == dataset.Label(r)) ++correct[t + 1];
+                   });
     }
   });
   std::vector<double> out(m + 1, 0.0);
@@ -520,58 +330,7 @@ std::vector<double> StagedAccuracyCurveImpl(const Kernel& kernel, size_t m,
   return out;
 }
 
-// --------------------------------------------------------------------------
-// Kernel dispatch.
-// --------------------------------------------------------------------------
-
-/// The process-wide TREEWM_PREDICT_KERNEL override, read once.
-PredictKernel EnvKernel() {
-  static const PredictKernel kernel = KernelChoiceFromString(
-      // Read-only, once, under the static's init guard; nothing in this
-      // process calls setenv.
-      std::getenv("TREEWM_PREDICT_KERNEL"));  // NOLINT(concurrency-mt-unsafe)
-  return kernel;
-}
-
-/// The single resolution chain — option, then env override, then the
-/// FloatKey default (quantized measured slower end-to-end on every micro
-/// shape, see ROADMAP / bench/README.md, so it must be selected
-/// explicitly), with a forced kQuantized falling back to FloatKey on an
-/// ineligible ensemble rather than failing. Both DispatchKernel and
-/// BatchPredictor::ChosenKernel resolve through here, so the reported
-/// kernel can never diverge from the kernel that runs.
-PredictKernel ResolveKernel(const FlatEnsemble& e, PredictKernel choice) {
-  if (choice == PredictKernel::kAuto) choice = EnvKernel();
-  if (choice != PredictKernel::kQuantized) return PredictKernel::kFloatKey;
-  return e.Quantized()->eligible() ? PredictKernel::kQuantized
-                                   : PredictKernel::kFloatKey;
-}
-
-/// Invokes fn with the kernel object the resolved choice selects.
-template <typename Fn>
-auto DispatchKernel(const FlatEnsemble& e, PredictKernel choice, const Fn& fn) {
-  if (ResolveKernel(e, choice) == PredictKernel::kQuantized) {
-    const std::shared_ptr<const QuantizedEnsemble> q = e.Quantized();
-    const bool u8 = q->bin_width() == QuantizedEnsemble::BinWidth::kU8;
-    if (q->child_width() == QuantizedEnsemble::ChildWidth::kI16) {
-      return u8 ? fn(QuantizedKernel<uint8_t, QNode16>{*q, q->nodes16()})
-                : fn(QuantizedKernel<uint16_t, QNode16>{*q, q->nodes16()});
-    }
-    return u8 ? fn(QuantizedKernel<uint8_t, QNode32>{*q, q->nodes32()})
-              : fn(QuantizedKernel<uint16_t, QNode32>{*q, q->nodes32()});
-  }
-  return fn(FloatKeyKernel{e});
-}
-
 }  // namespace
-
-PredictKernel KernelChoiceFromString(const char* value) {
-  if (value == nullptr) return PredictKernel::kAuto;
-  const std::string_view v(value);
-  if (v == "quantized") return PredictKernel::kQuantized;
-  if (v == "floatkey" || v == "flat") return PredictKernel::kFloatKey;
-  return PredictKernel::kAuto;
-}
 
 BatchPredictor::BatchPredictor(FlatEnsemble ensemble, BatchOptions options)
     : BatchPredictor(std::make_shared<const FlatEnsemble>(std::move(ensemble)),
@@ -583,16 +342,10 @@ BatchPredictor::BatchPredictor(std::shared_ptr<const FlatEnsemble> ensemble,
   options_.tree_block = std::max<size_t>(1, options_.tree_block);
 }
 
-PredictKernel BatchPredictor::ChosenKernel() const {
-  return ResolveKernel(*ensemble_, options_.kernel);
-}
-
 std::vector<int> BatchPredictor::PredictLabels(const data::Dataset& dataset) const {
   assert(!ensemble_->is_regression());
   assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
-  return DispatchKernel(*ensemble_, options_.kernel, [&](const auto& kernel) {
-    return PredictLabelsImpl(kernel, ensemble_->num_trees(), options_, dataset);
-  });
+  return PredictLabelsImpl(*ensemble_, ensemble_->num_trees(), options_, dataset);
 }
 
 VoteMatrix BatchPredictor::PredictAllVotes(const data::Dataset& dataset) const {
@@ -610,23 +363,14 @@ VoteMatrix BatchPredictor::PredictAllVotes(const data::Dataset& dataset) const {
     constexpr size_t kSliceBytes = 512 * 1024;  // comfortably L2-resident
     options.row_block = std::max<size_t>(64, kSliceBytes / m);
   }
-  return DispatchKernel(*ensemble_, options_.kernel, [&](const auto& kernel) {
-    return PredictAllVotesImpl(kernel, m, options, dataset);
-  });
-}
-
-std::vector<std::vector<int>> BatchPredictor::PredictAllLabels(
-    const data::Dataset& dataset) const {
-  return PredictAllVotes(dataset).ToNested();
+  return PredictAllVotesImpl(*ensemble_, m, options, dataset);
 }
 
 double BatchPredictor::LabelAccuracy(const data::Dataset& dataset) const {
   assert(!ensemble_->is_regression());
   if (dataset.num_rows() == 0) return 0.0;
   assert(dataset.num_features() == ensemble_->num_features());
-  return DispatchKernel(*ensemble_, options_.kernel, [&](const auto& kernel) {
-    return LabelAccuracyImpl(kernel, ensemble_->num_trees(), options_, dataset);
-  });
+  return LabelAccuracyImpl(*ensemble_, ensemble_->num_trees(), options_, dataset);
 }
 
 std::vector<double> BatchPredictor::Scores(const data::Dataset& dataset,
@@ -634,10 +378,8 @@ std::vector<double> BatchPredictor::Scores(const data::Dataset& dataset,
   assert(ensemble_->is_regression());
   assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
   const size_t m = std::min(prefix_trees, ensemble_->num_trees());
-  return DispatchKernel(*ensemble_, options_.kernel, [&](const auto& kernel) {
-    return ScoresImpl(kernel, m, ensemble_->initial_score(),
-                      ensemble_->learning_rate(), options_, dataset);
-  });
+  return ScoresImpl(*ensemble_, m, ensemble_->initial_score(),
+                    ensemble_->learning_rate(), options_, dataset);
 }
 
 double BatchPredictor::ScoreAccuracy(const data::Dataset& dataset,
@@ -658,10 +400,8 @@ std::vector<double> BatchPredictor::StagedAccuracyCurve(
   const size_t m = ensemble_->num_trees();
   if (dataset.num_rows() == 0) return std::vector<double>(m + 1, 0.0);
   assert(dataset.num_features() == ensemble_->num_features());
-  return DispatchKernel(*ensemble_, options_.kernel, [&](const auto& kernel) {
-    return StagedAccuracyCurveImpl(kernel, m, ensemble_->initial_score(),
-                                   ensemble_->learning_rate(), options_, dataset);
-  });
+  return StagedAccuracyCurveImpl(*ensemble_, m, ensemble_->initial_score(),
+                                 ensemble_->learning_rate(), options_, dataset);
 }
 
 }  // namespace treewm::predict

@@ -29,23 +29,6 @@
 
 namespace treewm::predict {
 
-/// Which traversal kernel a batch call runs on. Both kernels are bit-exact
-/// with the scalar reference, so the choice only affects speed.
-enum class PredictKernel : uint8_t {
-  /// Resolve at call time: the TREEWM_PREDICT_KERNEL env override if set
-  /// ("quantized" / "floatkey"), else FloatKey — the quantized traversal
-  /// only reaches parity while its binning transform costs more than the
-  /// key transform on every measured fixture shape (see bench/README.md),
-  /// so it must be opted into per call or per process.
-  kAuto = 0,
-  /// The 32-byte-record FloatKey kernel (flat_ensemble.h) — always
-  /// available, and the fallback when quantization is ineligible.
-  kFloatKey,
-  /// The 8/16-byte binned-record kernel (quantized_ensemble.h). Falls back
-  /// to FloatKey if the ensemble is ineligible even when forced.
-  kQuantized,
-};
-
 /// Tiling and parallelism knobs. Defaults are safe everywhere; they only
 /// affect speed, never results.
 struct BatchOptions {
@@ -57,9 +40,6 @@ struct BatchOptions {
   size_t row_block = 0;
   /// Trees per tile (clamped to >= 1).
   size_t tree_block = 16;
-  /// Traversal kernel; kAuto consults TREEWM_PREDICT_KERNEL, then
-  /// eligibility. An explicit kFloatKey/kQuantized beats the env override.
-  PredictKernel kernel = PredictKernel::kAuto;
 };
 
 /// Stateless batch-inference driver over a FlatEnsemble (owned or shared —
@@ -82,11 +62,6 @@ class BatchPredictor {
   /// traversal staging buffers. Classification only.
   VoteMatrix PredictAllVotes(const data::Dataset& dataset) const;
 
-  /// Per-tree votes; result[i][t] is tree t's vote on row i. Thin adapter
-  /// over PredictAllVotes for callers that need the legacy nested shape —
-  /// pays one heap row per instance. Classification only.
-  std::vector<std::vector<int>> PredictAllLabels(const data::Dataset& dataset) const;
-
   /// Majority-vote accuracy (0.0 on an empty dataset). Classification only.
   double LabelAccuracy(const data::Dataset& dataset) const;
 
@@ -108,20 +83,10 @@ class BatchPredictor {
   const FlatEnsemble& ensemble() const { return *ensemble_; }
   const BatchOptions& options() const { return options_; }
 
-  /// The kernel the next batch call will traverse with (never kAuto):
-  /// resolves the option, the TREEWM_PREDICT_KERNEL override, and quantized
-  /// eligibility. Builds the quantized image if resolution needs it.
-  PredictKernel ChosenKernel() const;
-
  private:
   std::shared_ptr<const FlatEnsemble> ensemble_;
   BatchOptions options_;
 };
-
-/// Parses a TREEWM_PREDICT_KERNEL value: "quantized" -> kQuantized,
-/// "floatkey"/"flat" -> kFloatKey, anything else (or unset) -> kAuto.
-/// Exposed for tests; the env var itself is read once per process.
-PredictKernel KernelChoiceFromString(const char* value);
 
 }  // namespace treewm::predict
 

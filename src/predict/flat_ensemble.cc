@@ -4,14 +4,7 @@
 #include <cassert>
 #include <type_traits>
 
-#include "predict/flat_cache.h"
-#include "predict/quantized_ensemble.h"
-
 namespace treewm::predict {
-
-std::shared_ptr<const QuantizedEnsemble> FlatEnsemble::Quantized() const {
-  return LazyImage(&quantized_cache_, [this] { return QuantizedEnsemble::Build(*this); });
-}
 
 template <typename Node>
 int64_t FlatEnsemble::PackTree(std::span<const Node> nodes,

@@ -33,18 +33,14 @@
 #define TREEWM_PREDICT_FLAT_ENSEMBLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "boosting/regression_tree.h"
 #include "common/status.h"
-#include "predict/flat_cache.h"
 #include "tree/decision_tree.h"
 
 namespace treewm::predict {
-
-class QuantizedEnsemble;
 
 /// Order-preserving integer image of a float: for all non-NaN a, b (with
 /// -0.0 first normalized to +0.0), a <= b iff FloatKey(a) <= FloatKey(b) as
@@ -52,9 +48,7 @@ class QuantizedEnsemble;
 /// to the canonical quiet NaN, so all NaNs map above +inf and a NaN feature
 /// takes the right child exactly like the scalar paths' `!(x <= v)` (a raw
 /// sign-bit NaN would otherwise map low and diverge). Comparing keys
-/// instead of floats keeps the traversal step an integer cmp+cmov chain;
-/// the quantized row transform bins the same keys, so both kernels share
-/// one NaN rule.
+/// instead of floats keeps the traversal step an integer cmp+cmov chain.
 inline uint32_t FloatKey(float f) {
   uint32_t bits;
   static_assert(sizeof(bits) == sizeof(f));
@@ -141,11 +135,6 @@ class FlatEnsemble {
   const int8_t* leaf_labels() const { return leaf_labels_.data(); }
   const double* leaf_values() const { return leaf_values_.data(); }
 
-  /// The quantized sibling image, built lazily on first use and cached (one
-  /// acquire-load per hit; copies of this ensemble share it). Always
-  /// non-null — check `eligible()` on the result before traversing it.
-  std::shared_ptr<const QuantizedEnsemble> Quantized() const;
-
  private:
   FlatEnsemble() = default;
 
@@ -163,9 +152,6 @@ class FlatEnsemble {
   bool is_regression_ = false;
   double initial_score_ = 0.0;
   double learning_rate_ = 0.0;
-  /// Lazily built quantized image (self-contained — owns copies of the leaf
-  /// arrays, so sharing it across ensemble copies can never dangle).
-  mutable ImageCacheSlot<QuantizedEnsemble> quantized_cache_;
 };
 
 }  // namespace treewm::predict

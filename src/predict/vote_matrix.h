@@ -1,6 +1,6 @@
 // Flat per-tree vote matrix — the canonical batched `predict.all` output.
 //
-// The original PredictAllBatch contract (`vector<vector<int>>`) costs one
+// The original nested batch contract (`vector<vector<int>>`) costs one
 // heap allocation per instance plus an int per vote; on the micro fixture
 // that materialization alone capped the flat engine's end-to-end win at
 // ~4.5-5× while Accuracy (no per-row output) ran 5-6×. VoteMatrix stores all
@@ -10,10 +10,8 @@
 //
 //   vote(r, t)  ==  tree t's vote on row r  ==  data()[r * num_trees + t]
 //
-// Hot consumers (verification scoring, witness validation, the attacks
-// layer) read rows in place; `ToNested()` materializes the legacy
-// vector<vector<int>> shape for callers that still need it (the model-class
-// PredictAllBatch entry points are thin adapters over this).
+// Every consumer (verification scoring, witness validation, the attacks
+// layer, the serving stack) reads rows in place.
 
 #ifndef TREEWM_PREDICT_VOTE_MATRIX_H_
 #define TREEWM_PREDICT_VOTE_MATRIX_H_
@@ -54,16 +52,6 @@ class VoteMatrix {
     int sum = 0;
     for (int8_t v : row(r)) sum += v;
     return sum >= 0 ? +1 : -1;
-  }
-
-  /// Legacy adapter: the vector<vector<int>> shape of PredictAllBatch.
-  std::vector<std::vector<int>> ToNested() const {
-    std::vector<std::vector<int>> out(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      const std::span<const int8_t> votes = row(r);
-      out[r].assign(votes.begin(), votes.end());
-    }
-    return out;
   }
 
   friend bool operator==(const VoteMatrix& a, const VoteMatrix& b) {

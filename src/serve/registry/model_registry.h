@@ -1,8 +1,7 @@
 // Multi-model registry: per-model bulkheads over shared immutable images.
 //
 // The registry maps model ids to entries, each owning one immutable
-// ensemble image (shared_ptr<const FlatEnsemble> — the quantized/forgery
-// siblings hang off it lazily and are shared the same way) and one ISOLATED
+// ensemble image (shared_ptr<const FlatEnsemble>) and one ISOLATED
 // ServingFrontEnd: its own AdmissionQueue, batcher, and dispatcher. Nothing
 // is pooled across models, so one model's overload sheds only that model's
 // traffic and one model's wedged reload cannot touch another's latency

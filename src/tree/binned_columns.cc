@@ -11,16 +11,6 @@ namespace treewm::tree {
 
 namespace {
 
-// The exact engine's threshold formula (trainer_core.cc): midpoint between
-// two adjacent distinct values, falling back to the lower value when the
-// midpoint rounds up to the upper one — so `x <= t` puts the lower run left
-// and the upper run right for BOTH values of the adjacent pair, always.
-float MidpointThreshold(float lo, float hi) {
-  float t = lo + (hi - lo) * 0.5f;
-  if (t >= hi) t = lo;
-  return t;
-}
-
 // Sort scratch recycled across the per-feature binning tasks. ParallelFor
 // may run more feature tasks than worker threads; pooling the (row, value)
 // buffers caps allocation at one n-entry buffer per concurrent task instead
@@ -74,6 +64,7 @@ Result<std::shared_ptr<const BinnedColumns>> BinnedColumns::Build(
   if (n == 0) {
     return Status::InvalidArgument("cannot bin an empty dataset");
   }
+  TREEWM_RETURN_IF_ERROR(CheckOrderable(dataset));
 
   auto binned = std::shared_ptr<BinnedColumns>(new BinnedColumns());
   binned->num_rows_ = n;

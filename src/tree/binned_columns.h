@@ -3,18 +3,18 @@
 //
 // The exact sort-once engine (sorted_columns.h + trainer_core.h) sweeps
 // every row of a node per feature: O(rows) gain evaluations per split, the
-// wrong asymptotic for the million-row regime. BinnedColumns applies the
-// same cut-collection idea the inference side proved out in
-// predict/quantized_ensemble.h — per-feature cut arrays, uint8/uint16 row
-// codes — to TRAINING: each feature is binned ONCE per dataset, after which
-// a split sweep is O(bins) over a per-node histogram (histogram_core.h)
-// instead of O(rows) over a sorted column.
+// wrong asymptotic for the million-row regime. BinnedColumns collects
+// per-feature cut arrays and uint8/uint16 row codes instead: each feature is
+// binned ONCE per dataset, after which a split sweep is O(bins) over a
+// per-node histogram (histogram_core.h) instead of O(rows) over a sorted
+// column. A dataset holding a NaN is rejected before any column is sorted
+// (CheckOrderable in sorted_columns.h).
 //
 // Bin layout, per feature:
 //   * when the feature has at most `max_bins` distinct values, every
 //     distinct value gets its own bin — the candidate threshold set then
 //     EQUALS the exact engine's (midpoints between adjacent distinct
-//     values, same one-ulp-fallback formula), so on such features the two
+//     values, the shared MidpointThreshold), so on such features the two
 //     engines search identical cuts;
 //   * otherwise bins are equal-frequency (quantile) groups of whole
 //     distinct-value runs, closed greedily at ceil(remaining_rows /
@@ -22,10 +22,10 @@
 //     bin, never a cut through a tied value run.
 //
 // Codes are uint8 when every feature fits in 256 bins (the default cap of
-// 255 always does) and fall back to uint16 otherwise, mirroring the
-// QuantizedEnsemble width rule. The object is immutable after Build and is
-// shared across trees, boosting rounds and ThreadPool workers exactly like
-// SortedColumns — for GBDT one binning pass serves every round.
+// 255 always does) and fall back to uint16 otherwise. The object is
+// immutable after Build and is shared across trees, boosting rounds and
+// ThreadPool workers exactly like SortedColumns — for GBDT one binning pass
+// serves every round.
 
 #ifndef TREEWM_TREE_BINNED_COLUMNS_H_
 #define TREEWM_TREE_BINNED_COLUMNS_H_
@@ -65,7 +65,8 @@ class BinnedColumns {
   /// distinct value (when they fit) or equal-frequency groups. O(d·n log n),
   /// paid once per dataset. `pool` fans the per-feature work out (nullptr =
   /// serial); the result is identical at every thread count — features are
-  /// binned independently into disjoint slabs.
+  /// binned independently into disjoint slabs. A NaN feature is an
+  /// InvalidArgument naming its row and column (CheckOrderable).
   static Result<std::shared_ptr<const BinnedColumns>> Build(
       const data::Dataset& dataset, const BinnedOptions& options = {},
       ThreadPool* pool = nullptr);

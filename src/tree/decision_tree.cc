@@ -314,13 +314,12 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
     return Status::InvalidArgument(
         "binned columns passed but trainer_mode is exact");
   }
-  TREEWM_RETURN_IF_ERROR(ValidateColumnsMatch(sorted, dataset));
-
   std::shared_ptr<const SortedColumns> owned_sorted;
   if (sorted == nullptr) {
     owned_sorted = SortedColumns::Build(dataset);
     sorted = owned_sorted.get();
   }
+  TREEWM_RETURN_IF_ERROR(ValidateColumnsMatch(sorted, dataset));
   TrainerCore core(*sorted, features, /*with_identity=*/false);
 
   DecisionTree tree;
@@ -417,6 +416,7 @@ Result<DecisionTree> DecisionTree::FitReference(const data::Dataset& dataset,
     return Status::InvalidArgument(
         "the reference trainer is the exact-mode spec; it has no histogram mode");
   }
+  TREEWM_RETURN_IF_ERROR(CheckOrderable(dataset));
 
   const std::vector<double> unit_weights =
       weights.empty() ? std::vector<double>(dataset.num_rows(), 1.0)

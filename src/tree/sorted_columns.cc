@@ -1,13 +1,27 @@
 #include "tree/sorted_columns.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/string_util.h"
 
 namespace treewm::tree {
 
+Status CheckOrderable(const data::Dataset& dataset) {
+  const std::vector<float>& values = dataset.values();
+  const auto nan = std::find_if(values.begin(), values.end(),
+                                [](float v) { return std::isnan(v); });
+  if (nan == values.end()) return Status::OK();
+  const size_t at = static_cast<size_t>(nan - values.begin());
+  return Status::InvalidArgument(
+      StrFormat("NaN feature value at row %zu, column %zu: training needs "
+                "ordered values",
+                at / dataset.num_features(), at % dataset.num_features()));
+}
+
 Status ValidateColumnsMatch(const SortedColumns* sorted,
                             const data::Dataset& dataset) {
+  if (sorted != nullptr) TREEWM_RETURN_IF_ERROR(sorted->status());
   if (sorted != nullptr && (sorted->num_rows() != dataset.num_rows() ||
                             sorted->num_features() != dataset.num_features())) {
     return Status::InvalidArgument(
@@ -32,6 +46,8 @@ std::shared_ptr<const SortedColumns> SortedColumns::Build(
   columns->num_rows_ = n;
   columns->num_features_ = d;
   columns->entries_.resize(d * n);
+  columns->status_ = CheckOrderable(dataset);
+  if (!columns->status_.ok()) return columns;
   // Each feature task fills and sorts only its own n-entry slab, and the
   // sort itself is deterministic, so the built columns are bit-identical
   // at every thread count.

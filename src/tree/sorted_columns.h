@@ -41,7 +41,9 @@ struct ColumnEntry {
 class SortedColumns {
  public:
   /// Sorts every feature column of `dataset` (ascending by value, ties by
-  /// ascending row id). O(d·n log n), paid once per dataset. Fans the
+  /// ascending row id). O(d·n log n), paid once per dataset. NaN has no
+  /// order, so a dataset holding one is not sorted at all: the result
+  /// carries a non-OK status() instead, which every trainer rejects. Fans the
   /// per-feature sorts out across the global ThreadPool — each task fills
   /// and sorts its own disjoint slab of the feature-major array, so the
   /// result is bit-identical at every thread count (regression-tested in
@@ -56,6 +58,10 @@ class SortedColumns {
   size_t num_rows() const { return num_rows_; }
   size_t num_features() const { return num_features_; }
 
+  /// OK, or CheckOrderable's InvalidArgument for the source dataset (the
+  /// columns are then unsorted and must not be trained on).
+  const Status& status() const { return status_; }
+
   /// Sorted column of feature `f`: n entries, ascending by value, value ties
   /// in ascending row order.
   std::span<const ColumnEntry> Column(size_t f) const {
@@ -67,12 +73,30 @@ class SortedColumns {
 
   size_t num_rows_ = 0;
   size_t num_features_ = 0;
+  Status status_;
   std::vector<ColumnEntry> entries_;  // feature-major, d × n
 };
 
+/// The split threshold between adjacent distinct sorted values lo < hi: their
+/// midpoint, or lo when the midpoint is not below hi — values one ulp apart
+/// round it up onto hi, and lo = -inf makes it NaN — so `x <= t` always puts
+/// the lo run left and the hi run right. Every trainer and its reference
+/// cut through this one formula, which keeps their thresholds bit-identical.
+inline float MidpointThreshold(float lo, float hi) {
+  const float t = lo + (hi - lo) * 0.5f;
+  return t < hi ? t : lo;
+}
+
+/// InvalidArgument naming the first NaN of `dataset` (row-major order), else
+/// OK. Every training path runs it once per dataset before it sorts or bins
+/// a column: `a.value < b.value` is no strict weak ordering once NaN
+/// appears, so sorting would be undefined behaviour. ±inf and -0.0 order
+/// fine and pass.
+[[nodiscard]] Status CheckOrderable(const data::Dataset& dataset);
+
 /// InvalidArgument unless `sorted` (when non-null) was built for a dataset
-/// of exactly `dataset`'s shape — the one shape contract every trainer that
-/// accepts prebuilt columns enforces.
+/// of exactly `dataset`'s shape and carries an OK status() — the one
+/// contract every trainer that accepts prebuilt columns enforces.
 [[nodiscard]] Status ValidateColumnsMatch(const SortedColumns* sorted,
                             const data::Dataset& dataset);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tree/sorted_columns.h"
+
 namespace treewm::tree {
 
 namespace {
@@ -64,14 +66,8 @@ std::optional<SplitCandidate> Splitter::FindBestSplit(
       if (gain > kMinSplitGain && (!best || gain > best->gain)) {
         SplitCandidate candidate;
         candidate.feature = feature;
-        // Midpoint threshold; guaranteed >= left value and < right value.
         candidate.threshold =
-            entries[i].value + (entries[i + 1].value - entries[i].value) * 0.5f;
-        // Degenerate float midpoints (values one ulp apart) collapse onto the
-        // right value; fall back to the left value so "x <= t" still separates.
-        if (candidate.threshold >= entries[i + 1].value) {
-          candidate.threshold = entries[i].value;
-        }
+            MidpointThreshold(entries[i].value, entries[i + 1].value);
         candidate.gain = gain;
         candidate.left_weights = left;
         candidate.right_weights = right;

@@ -89,13 +89,7 @@ void BestSplitOnColumn(std::span<const ColumnEntry> column, int feature,
     if (gain > kMinSplitGain && (!*best || gain > (*best)->gain)) {
       SplitCandidate candidate;
       candidate.feature = feature;
-      // Midpoint threshold; guaranteed >= left value and < right value.
-      candidate.threshold = e.value + (column[i + 1].value - e.value) * 0.5f;
-      // Degenerate float midpoints (values one ulp apart) collapse onto the
-      // right value; fall back to the left value so "x <= t" still separates.
-      if (candidate.threshold >= column[i + 1].value) {
-        candidate.threshold = e.value;
-      }
+      candidate.threshold = MidpointThreshold(e.value, column[i + 1].value);
       candidate.gain = gain;
       candidate.left_weights = left;
       candidate.right_weights = right;
@@ -127,10 +121,8 @@ void BestSseSplitOnColumn(std::span<const ColumnEntry> column, int feature,
                         right_sum * right_sum / static_cast<double>(right_count) -
                         parent_term;
     if (gain > min_gain && gain > best->gain) {
-      float threshold = e.value + (column[i + 1].value - e.value) * 0.5f;
-      if (threshold >= column[i + 1].value) threshold = e.value;
       best->feature = feature;
-      best->threshold = threshold;
+      best->threshold = MidpointThreshold(e.value, column[i + 1].value);
       best->gain = gain;
       best->left_count = left_count;
     }

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "boosting/gbdt.h"
@@ -32,6 +34,23 @@ forest::RandomForest MakeForest(uint64_t seed, size_t num_trees, size_t rows,
   return forest::RandomForest::Fit(d, {}, config).MoveValue();
 }
 
+/// Compares a vote matrix row by row against the nested reference votes
+/// (reference::PredictAllBatch), naming the first differing row.
+::testing::AssertionResult SameVotes(const VoteMatrix& votes,
+                                     const std::vector<std::vector<int>>& expected) {
+  if (votes.num_rows() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << votes.num_rows() << " rows vs " << expected.size() << " expected";
+  }
+  for (size_t r = 0; r < expected.size(); ++r) {
+    const std::span<const int8_t> row = votes.row(r);
+    if (!std::equal(row.begin(), row.end(), expected[r].begin(), expected[r].end())) {
+      return ::testing::AssertionFailure() << "votes differ on row " << r;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FloatKeyTest, PreservesFloatOrdering) {
   // FloatKey must be a monotone embedding of the non-NaN floats into uint32,
   // with -0.0 == +0.0 — this is what makes integer-key traversal bit-exact.
@@ -49,7 +68,7 @@ TEST(FloatKeyTest, PreservesFloatOrdering) {
 
 TEST(FloatKeyTest, EveryNanNormalizesAboveInfinity) {
   // All NaN payloads — sign bit set or not, quiet or signaling — must map to
-  // ONE key above +inf, so both kernels route NaN features right exactly
+  // ONE key above +inf, so the traversal routes NaN features right exactly
   // like the scalar `!(x <= v)` rule (sign-bit NaNs previously mapped low).
   const uint32_t nan_bits[] = {0x7FC00000u, 0x7F800001u, 0x7FFFFFFFu,
                                0xFFC00000u, 0xFF800001u, 0xFFFFFFFFu};
@@ -88,13 +107,15 @@ TEST(FlatEquivalenceTest, ForestBatchesMatchScalarAcrossRandomConfigs) {
   const Case cases[] = {
       {11, 1, 50, 3, -1},  {12, 3, 97, 5, 4},    {13, 16, 256, 8, -1},
       {14, 7, 64, 12, 2},  {15, 33, 301, 4, -1}, {16, 2, 1, 6, -1},
+      {291, 12, 200, 6, -1},
   };
   for (const Case& c : cases) {
     auto forest = MakeForest(c.seed, c.trees, c.rows, c.features, c.max_depth);
     auto probe = data::synthetic::MakeBlobs(c.seed + 100, c.rows, c.features, 0.7);
     EXPECT_EQ(forest.PredictBatch(probe), reference::PredictBatch(forest, probe))
         << "seed " << c.seed;
-    EXPECT_EQ(forest.PredictAllBatch(probe), reference::PredictAllBatch(forest, probe))
+    EXPECT_TRUE(SameVotes(forest.PredictAllVotes(probe),
+                          reference::PredictAllBatch(forest, probe)))
         << "seed " << c.seed;
     EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe))
         << "seed " << c.seed;
@@ -127,7 +148,7 @@ TEST(FlatEquivalenceTest, ThreadCountsAndTilingsNeverChangeResults) {
         options.row_block = row_block;
         options.tree_block = tree_block;
         BatchPredictor predictor(flat, options);
-        EXPECT_EQ(predictor.PredictAllLabels(probe), expected_votes)
+        EXPECT_TRUE(SameVotes(predictor.PredictAllVotes(probe), expected_votes))
             << threads << "/" << row_block << "/" << tree_block;
         EXPECT_EQ(predictor.PredictLabels(probe), expected_labels);
         EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), expected_acc);
@@ -136,10 +157,9 @@ TEST(FlatEquivalenceTest, ThreadCountsAndTilingsNeverChangeResults) {
   }
 }
 
-// The VoteMatrix must agree entry-for-entry with the nested adapter (and
-// hence the scalar reference) on every thread count and tiling, and the
-// adapter itself must be a pure reshape of the matrix.
-TEST(VoteMatrixTest, MatrixMatchesNestedAdapterAcrossThreadsAndTilings) {
+// The VoteMatrix must agree entry-for-entry with the scalar reference on
+// every thread count and tiling, through both its row spans and vote(r, t).
+TEST(VoteMatrixTest, MatrixMatchesReferenceAcrossThreadsAndTilings) {
   auto forest = MakeForest(33, 11, 217, 6);
   auto probe = data::synthetic::MakeBlobs(34, 217, 6, 0.8);
   auto flat = FlatEnsemble::FromClassificationTrees(forest.trees());
@@ -157,7 +177,7 @@ TEST(VoteMatrixTest, MatrixMatchesNestedAdapterAcrossThreadsAndTilings) {
         const VoteMatrix votes = predictor.PredictAllVotes(probe);
         ASSERT_EQ(votes.num_rows(), probe.num_rows());
         ASSERT_EQ(votes.num_trees(), forest.num_trees());
-        EXPECT_EQ(votes.ToNested(), expected)
+        EXPECT_TRUE(SameVotes(votes, expected))
             << threads << "/" << row_block << "/" << tree_block;
         for (size_t r = 0; r < votes.num_rows(); ++r) {
           for (size_t t = 0; t < votes.num_trees(); ++t) {
@@ -194,13 +214,12 @@ TEST(VoteMatrixTest, EmptyAndSingleRowShapes) {
   EXPECT_TRUE(none.empty());
   EXPECT_EQ(none.num_rows(), 0u);
   EXPECT_EQ(none.num_trees(), 4u);
-  EXPECT_TRUE(none.ToNested().empty());
 
   data::Dataset one(3);
   ASSERT_TRUE(one.AddRow(std::vector<float>{0.1f, 0.9f, 0.4f}, +1).ok());
   const VoteMatrix single = forest.PredictAllVotes(one);
   ASSERT_EQ(single.num_rows(), 1u);
-  EXPECT_EQ(single.ToNested(), reference::PredictAllBatch(forest, one));
+  EXPECT_TRUE(SameVotes(single, reference::PredictAllBatch(forest, one)));
 }
 
 TEST(FlatEquivalenceTest, SingleLeafTreesAndMixedDepths) {
@@ -216,7 +235,8 @@ TEST(FlatEquivalenceTest, SingleLeafTreesAndMixedDepths) {
   auto forest = forest::RandomForest::FromTrees({plus, minus, deep, plus, minus})
                     .MoveValue();
   EXPECT_EQ(forest.PredictBatch(d), reference::PredictBatch(forest, d));
-  EXPECT_EQ(forest.PredictAllBatch(d), reference::PredictAllBatch(forest, d));
+  EXPECT_TRUE(
+      SameVotes(forest.PredictAllVotes(d), reference::PredictAllBatch(forest, d)));
   EXPECT_DOUBLE_EQ(forest.Accuracy(d), reference::Accuracy(forest, d));
 
   // All-leaf ensemble: empty arena, every entry negative.
@@ -229,13 +249,14 @@ TEST(FlatEquivalenceTest, EmptyAndTinyDatasets) {
   auto forest = MakeForest(51, 5, 90, 3);
   data::Dataset empty(3);
   EXPECT_TRUE(forest.PredictBatch(empty).empty());
-  EXPECT_TRUE(forest.PredictAllBatch(empty).empty());
+  EXPECT_TRUE(forest.PredictAllVotes(empty).empty());
   EXPECT_DOUBLE_EQ(forest.Accuracy(empty), 0.0);  // documented convention
 
   data::Dataset one(3);
   ASSERT_TRUE(one.AddRow(std::vector<float>{0.2f, 0.8f, 0.5f}, -1).ok());
   EXPECT_EQ(forest.PredictBatch(one), reference::PredictBatch(forest, one));
-  EXPECT_EQ(forest.PredictAllBatch(one), reference::PredictAllBatch(forest, one));
+  EXPECT_TRUE(SameVotes(forest.PredictAllVotes(one),
+                        reference::PredictAllBatch(forest, one)));
   EXPECT_DOUBLE_EQ(forest.Accuracy(one), reference::Accuracy(forest, one));
 }
 
@@ -244,10 +265,10 @@ TEST(FlatEquivalenceTest, CachedFlatImageSurvivesCopiesAndRepeatedCalls) {
   // repeated batch calls must keep returning identical results.
   auto forest = MakeForest(55, 6, 120, 5);
   auto probe = data::synthetic::MakeBlobs(56, 80, 5, 1.0);
-  const auto first = forest.PredictAllBatch(probe);   // builds the cache
-  const auto copy = forest;                           // shares the cache
-  EXPECT_EQ(copy.PredictAllBatch(probe), first);
-  EXPECT_EQ(forest.PredictAllBatch(probe), first);    // cache hit
+  const VoteMatrix first = forest.PredictAllVotes(probe);  // builds the cache
+  const auto copy = forest;                                // shares the cache
+  EXPECT_TRUE(copy.PredictAllVotes(probe) == first);
+  EXPECT_TRUE(forest.PredictAllVotes(probe) == first);     // cache hit
   EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe));
 }
 
@@ -300,6 +321,54 @@ TEST(FlatEquivalenceTest, StagedAccuracyCurveMatchesPerStageRescans) {
   const auto empty_curve = model.StagedAccuracyCurve(empty);
   ASSERT_EQ(empty_curve.size(), model.num_trees() + 1);
   for (double v : empty_curve) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+// Sign-bit and signalling NaN payloads: FloatKey normalizes every NaN to the
+// canonical quiet NaN, so a NaN feature routes right (`!(x <= v)`) exactly
+// like the scalar paths, on a hand-built tree and on a trained forest.
+TEST(FlatEquivalenceTest, NegativeNanPayloadsMatchScalar) {
+  float neg_nan, neg_nan_payload;
+  {
+    const uint32_t bits = 0xFFC00000u;  // sign-bit quiet NaN
+    std::memcpy(&neg_nan, &bits, sizeof(neg_nan));
+    const uint32_t payload_bits = 0xFF800001u;  // sign-bit signaling payload
+    std::memcpy(&neg_nan_payload, &payload_bits, sizeof(neg_nan_payload));
+  }
+  ASSERT_TRUE(std::isnan(neg_nan));
+  ASSERT_TRUE(std::isnan(neg_nan_payload));
+
+  // Deterministic single-split tree: scalar `x <= 0.5` is false for every
+  // NaN, so all NaN rows must take the right child (+1).
+  auto t = tree::DecisionTree::FromNodes({tree::TreeNode{0, 0.5f, 1, 2, 0},
+                                          tree::TreeNode{-1, 0, -1, -1, -1},
+                                          tree::TreeNode{-1, 0, -1, -1, +1}},
+                                         2)
+               .MoveValue();
+  auto forest = forest::RandomForest::FromTrees({t}).MoveValue();
+  data::Dataset probe(2);
+  ASSERT_TRUE(probe.AddRow(std::vector<float>{neg_nan, 0.0f}, +1).ok());
+  ASSERT_TRUE(probe.AddRow(std::vector<float>{neg_nan_payload, 1.0f}, +1).ok());
+  ASSERT_TRUE(probe.AddRow(std::vector<float>{std::nanf(""), 2.0f}, +1).ok());
+  ASSERT_TRUE(probe.AddRow(std::vector<float>{0.25f, 3.0f}, -1).ok());
+
+  const auto expected = reference::PredictBatch(forest, probe);
+  EXPECT_EQ(expected, (std::vector<int>{+1, +1, +1, -1}));
+  BatchPredictor predictor(FlatEnsemble::FromClassificationTrees(forest.trees()));
+  EXPECT_EQ(predictor.PredictLabels(probe), expected);
+
+  // And on a trained forest with NaNs injected into several features.
+  auto trained = MakeForest(271, 9, 180, 5);
+  auto base = data::synthetic::MakeBlobs(272, 60, 5, 0.8);
+  data::Dataset nan_probe(5);
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    std::vector<float> row(base.Row(r).begin(), base.Row(r).end());
+    row[r % 5] = r % 2 == 0 ? neg_nan : neg_nan_payload;
+    ASSERT_TRUE(nan_probe.AddRow(row, base.Label(r)).ok());
+  }
+  BatchPredictor trained_predictor(
+      FlatEnsemble::FromClassificationTrees(trained.trees()));
+  EXPECT_TRUE(SameVotes(trained_predictor.PredictAllVotes(nan_probe),
+                        reference::PredictAllBatch(trained, nan_probe)));
 }
 
 }  // namespace

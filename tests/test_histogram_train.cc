@@ -503,16 +503,6 @@ TEST(HistogramRejectionTest, SubstrateAndModeMixesAreInvalid) {
           .ok());
   EXPECT_FALSE(boosting::RegressionTree::FitReference(d, targets, reg_hist).ok());
 
-  boosting::GbdtConfig gbdt_config;
-  gbdt_config.tree.trainer_mode = TrainerMode::kHistogram;
-  gbdt_config.use_reference_trainer = true;
-  EXPECT_FALSE(gbdt_config.Validate().ok());
-
-  forest::ForestConfig forest_config;
-  forest_config.tree.trainer_mode = TrainerMode::kHistogram;
-  forest_config.use_reference_trainer = true;
-  EXPECT_FALSE(forest_config.Validate().ok());
-
   forest::ForestConfig forest_hist;
   forest_hist.num_trees = 2;
   forest_hist.tree.trainer_mode = TrainerMode::kHistogram;

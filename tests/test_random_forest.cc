@@ -200,15 +200,16 @@ TEST(ForestJsonTest, RoundTripPreservesPredictions) {
   }
 }
 
-TEST(PredictAllBatchTest, MatchesPerRowCalls) {
+TEST(PredictAllVotesTest, MatchesPerRowCalls) {
   auto d = data::synthetic::MakeBlobs(10, 50, 4, 1.0);
   ForestConfig config;
   config.num_trees = 3;
   auto forest = RandomForest::Fit(d, {}, config).MoveValue();
-  auto batch = forest.PredictAllBatch(d);
-  ASSERT_EQ(batch.size(), d.num_rows());
+  const predict::VoteMatrix batch = forest.PredictAllVotes(d);
+  ASSERT_EQ(batch.num_rows(), d.num_rows());
   for (size_t i = 0; i < d.num_rows(); ++i) {
-    EXPECT_EQ(batch[i], forest.PredictAll(d.Row(i)));
+    const std::vector<int> row(batch.row(i).begin(), batch.row(i).end());
+    EXPECT_EQ(row, forest.PredictAll(d.Row(i)));
   }
 }
 

@@ -1,15 +1,19 @@
 // Property tests for the sort-once training engine: the presorted
-// column-index trainer must produce BIT-IDENTICAL trees, forests and GBDTs
-// to the retained naive reference (per-node re-sorting splitter), across
-// duplicate feature values, weighted rows, min_samples_leaf edges, constant
-// features, both criteria, best-first growth, boosting stages and thread
-// counts. See src/tree/README.md for the equivalence contract.
+// column-index trainer must produce BIT-IDENTICAL trees to the retained
+// naive reference (per-node re-sorting splitter), across duplicate feature
+// values, weighted rows, feature subsets, min_samples_leaf edges, constant
+// features, both criteria, best-first growth and regression targets;
+// forests must be identical at every thread count; and every training path
+// must reject NaN features. See src/tree/README.md for the equivalence
+// contract.
 
 #include "tree/trainer_core.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "boosting/gbdt.h"
@@ -298,57 +302,29 @@ TEST(TrainerEquivalenceTest, RegressionTreesMatchReference) {
   }
 }
 
-TEST(TrainerEquivalenceTest, GbdtStagesMatchReferenceBitForBit) {
-  // Boosting couples the stages: round k's targets depend on every earlier
-  // tree, so ANY divergence anywhere compounds. Equality of the final model
-  // therefore proves per-stage equality too.
-  data::Dataset d = MakeGridDataset(301, 240, 5, 9);
-  boosting::GbdtConfig config;
-  config.num_trees = 12;
-  config.tree.max_depth = 3;
-  auto fast = boosting::Gbdt::Fit(d, config).MoveValue();
-  config.use_reference_trainer = true;
-  auto reference = boosting::Gbdt::Fit(d, config).MoveValue();
-
-  ASSERT_EQ(fast.num_trees(), reference.num_trees());
-  EXPECT_EQ(fast.initial_score(), reference.initial_score());
-  for (size_t t = 0; t < fast.num_trees(); ++t) {
-    EXPECT_TRUE(RegressionTreesIdentical(fast.trees()[t], reference.trees()[t]))
-        << "stage " << t;
-  }
-  for (size_t i = 0; i < 25; ++i) {
-    EXPECT_EQ(fast.Score(d.Row(i)), reference.Score(d.Row(i)));  // bit equality
-  }
-}
-
-TEST(TrainerEquivalenceTest, ForestsMatchReferenceAtEveryThreadCount) {
+TEST(TrainerEquivalenceTest, ForestsAreIdenticalAtEveryThreadCount) {
   data::Dataset d = MakeGridDataset(401, 200, 6, 7);
+  std::vector<double> weights = MakeWeights(402, 200, 2);
   forest::ForestConfig config;
   config.num_trees = 6;
   config.feature_fraction = 0.5;
   config.seed = 17;
   config.num_threads = 1;
-  config.use_reference_trainer = true;
-  auto reference = forest::RandomForest::Fit(d, {}, config).MoveValue();
+  auto serial = forest::RandomForest::Fit(d, {}, config).MoveValue();
+  auto weighted_serial = forest::RandomForest::Fit(d, weights, config).MoveValue();
 
-  std::vector<double> weights = MakeWeights(402, 200, 2);
-  config.use_reference_trainer = true;
-  auto weighted_reference = forest::RandomForest::Fit(d, weights, config).MoveValue();
-
-  for (size_t threads : {1u, 2u, 5u}) {
-    forest::ForestConfig fast_config = config;
-    fast_config.use_reference_trainer = false;
-    fast_config.num_threads = threads;
-    auto fast = forest::RandomForest::Fit(d, {}, fast_config).MoveValue();
-    ASSERT_EQ(fast.num_trees(), reference.num_trees());
-    for (size_t t = 0; t < fast.num_trees(); ++t) {
-      EXPECT_TRUE(fast.trees()[t].StructurallyEqual(reference.trees()[t]))
+  for (size_t threads : {2u, 5u}) {
+    config.num_threads = threads;
+    auto pooled = forest::RandomForest::Fit(d, {}, config).MoveValue();
+    ASSERT_EQ(pooled.num_trees(), serial.num_trees());
+    for (size_t t = 0; t < pooled.num_trees(); ++t) {
+      EXPECT_TRUE(pooled.trees()[t].StructurallyEqual(serial.trees()[t]))
           << "threads=" << threads << " tree=" << t;
     }
-    auto fast_weighted = forest::RandomForest::Fit(d, weights, fast_config).MoveValue();
-    for (size_t t = 0; t < fast_weighted.num_trees(); ++t) {
+    auto pooled_weighted = forest::RandomForest::Fit(d, weights, config).MoveValue();
+    for (size_t t = 0; t < pooled_weighted.num_trees(); ++t) {
       EXPECT_TRUE(
-          fast_weighted.trees()[t].StructurallyEqual(weighted_reference.trees()[t]))
+          pooled_weighted.trees()[t].StructurallyEqual(weighted_serial.trees()[t]))
           << "weighted threads=" << threads << " tree=" << t;
     }
   }
@@ -366,6 +342,63 @@ TEST(TrainerEquivalenceTest, RealisticDatasetsMatchToo) {
     auto reference = DecisionTree::FitReference(d, {}, config).MoveValue();
     EXPECT_TRUE(fast.StructurallyEqual(reference)) << "dataset " << which;
   }
+}
+
+// NaN has no order: sorting a column holding one with `a.value < b.value`
+// is undefined behaviour and silently broke exact == reference. Every
+// training path must fail closed, naming the first NaN; ±inf and -0.0 order
+// fine and stay accepted.
+TEST(TrainerInputTest, NanTrainingDataIsRejectedWithItsPosition) {
+  const data::Dataset clean = MakeGridDataset(501, 60, 4, 6);
+  data::Dataset d(4);
+  for (size_t i = 0; i < clean.num_rows(); ++i) {
+    std::vector<float> row(clean.Row(i).begin(), clean.Row(i).end());
+    if (i % 5 == 2) row[i % 4] = std::numeric_limits<float>::quiet_NaN();
+    ASSERT_TRUE(d.AddRow(row, clean.Label(i)).ok());
+  }
+  const auto expect_rejected = [](const Status& status, const char* path) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(status.message().find("row 2, column 2"), std::string::npos)
+        << path << ": " << status.ToString();
+  };
+
+  forest::ForestConfig forest_config;
+  forest_config.num_trees = 4;
+  expect_rejected(forest::RandomForest::Fit(d, {}, forest_config).status(),
+                  "RandomForest::Fit");
+  expect_rejected(forest::RandomForest::Fit(d, {}, forest_config,
+                                            SortedColumns::Build(d))
+                      .status(),
+                  "RandomForest::Fit (prebuilt columns)");
+  boosting::GbdtConfig gbdt_config;
+  gbdt_config.num_trees = 4;
+  expect_rejected(boosting::Gbdt::Fit(d, gbdt_config).status(), "Gbdt::Fit");
+  expect_rejected(DecisionTree::Fit(d, {}, TreeConfig{}).status(),
+                  "DecisionTree::Fit");
+  expect_rejected(DecisionTree::FitReference(d, {}, TreeConfig{}).status(),
+                  "DecisionTree::FitReference");
+  const std::vector<double> targets(d.num_rows(), 0.5);
+  expect_rejected(
+      boosting::RegressionTree::FitReference(d, targets, {}).status(),
+      "RegressionTree::FitReference");
+  TreeConfig histogram;
+  histogram.trainer_mode = TrainerMode::kHistogram;
+  expect_rejected(DecisionTree::Fit(d, {}, histogram).status(),
+                  "DecisionTree::Fit (histogram)");
+
+  // Infinities and negative zero are ordered: exact == reference holds.
+  data::Dataset edges(4);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (size_t i = 0; i < clean.num_rows(); ++i) {
+    std::vector<float> row(clean.Row(i).begin(), clean.Row(i).end());
+    if (i % 5 == 2) row[i % 4] = i % 3 == 0 ? inf : (i % 3 == 1 ? -inf : -0.0f);
+    ASSERT_TRUE(edges.AddRow(row, clean.Label(i)).ok());
+  }
+  auto fast = DecisionTree::Fit(edges, {}, TreeConfig{});
+  auto reference = DecisionTree::FitReference(edges, {}, TreeConfig{});
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_TRUE(fast.value().StructurallyEqual(reference.value()));
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -453,6 +456,30 @@ TEST_F(WireLoopbackTest, PredictMatchesInProcessBitForBit) {
     ASSERT_TRUE(local_result.ok());
     EXPECT_EQ(wire_result.value().label, local_result.value().label);
     EXPECT_EQ(wire_result.value().votes, local_result.value().votes);
+  }
+
+  // Rows with NaN features (quiet, and sign-bit signalling payloads) cross
+  // the wire bit for bit and route right (`!(x <= v)`) like the scalar
+  // per-tree predictions.
+  float neg_nan;
+  const uint32_t neg_nan_bits = 0xFF800001u;
+  std::memcpy(&neg_nan, &neg_nan_bits, sizeof(neg_nan));
+  for (uint64_t i = 0; i < 8; ++i) {
+    std::vector<float> x = Probe(100 + i);
+    for (size_t j = i % 2; j < x.size(); j += 2) {
+      x[j] = j % 4 < 2 ? std::numeric_limits<float>::quiet_NaN() : neg_nan;
+    }
+    auto wire_result = client.Predict(x);
+    ASSERT_TRUE(wire_result.ok()) << wire_result.status().ToString();
+    auto local_result = front_end_->Predict(x);
+    ASSERT_TRUE(local_result.ok());
+    EXPECT_EQ(wire_result.value().label, local_result.value().label);
+    EXPECT_EQ(wire_result.value().votes, local_result.value().votes);
+    const std::vector<int> scalar = forest_->PredictAll(x);
+    EXPECT_TRUE(std::equal(scalar.begin(), scalar.end(),
+                           wire_result.value().votes.begin(),
+                           wire_result.value().votes.end()))
+        << "NaN row " << i;
   }
 }
 

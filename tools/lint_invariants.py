@@ -23,6 +23,10 @@ enforce under clang, which not every build host has):
                     comment on the same line or the two lines above.
                     Status/Result are [[nodiscard]]; the cast is the
                     sanctioned suppression and must carry its reason.
+  env-knob          getenv/secure_getenv in src/. Library behaviour is set
+                    through typed options only: an environment override is
+                    a hidden second path that no caller can see or test.
+                    (bench/ harnesses may still read their own env vars.)
 
 Waiver: a `// lint ok: <reason>` comment on the offending line or within the
 two lines above (so the reason can wrap) suppresses all rules for that line.
@@ -140,12 +144,15 @@ SLEEP_RE = re.compile(r"\bsleep_(for|until)\s*\(")
 # A (void) cast applied to an expression (not a `f(void)` parameter list).
 DISCARD_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:(!~*]")
 
+ENV_KNOB_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
 FAULT_SITE_RE = re.compile(r"TREEWM_FAULT_FIRED\s*\(\s*\"([^\"]+)\"")
 
 
 def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], List[Tuple[str, int]]]:
     """Returns (findings, fault_sites) for one file. `scopes` is the subset of
-    {"concurrency", "random", "test", "discard", "fault"} that applies."""
+    {"concurrency", "random", "test", "discard", "fault", "env"} that
+    applies."""
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = split_lines(f.read())
@@ -178,6 +185,11 @@ def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], Li
                 rel, lineno, "unseeded-random",
                 "unseeded randomness in src/ — use the seeded treewm::Rng "
                 "(common/rng.h) so runs are reproducible"))
+        if "env" in scopes and ENV_KNOB_RE.search(code):
+            findings.append(Finding(
+                rel, lineno, "env-knob",
+                "getenv in src/ — expose the setting as a typed option, not "
+                "an environment override"))
         if "test" in scopes and SLEEP_RE.search(code):
             findings.append(Finding(
                 rel, lineno, "sleep-in-test",
@@ -202,6 +214,7 @@ def scopes_for(rel: str) -> List[str]:
         scopes.append("concurrency")
     if in_src:
         scopes.append("fault")
+        scopes.append("env")
         if rel not in ("src/common/rng.h", "src/common/rng.cc"):
             scopes.append("random")
     if rel.startswith("tests/"):
@@ -297,7 +310,8 @@ def self_test(root: str) -> int:
                 expected[idx + 1] = m.group(1)
         # Fixtures get every rule: they stand in for worst-placed code.
         findings, fault_sites = lint_file(
-            path, name, ["concurrency", "random", "test", "discard", "fault"])
+            path, name,
+            ["concurrency", "random", "test", "discard", "fault", "env"])
         sites: Dict[str, List[Tuple[str, int]]] = {}
         for site, line in fault_sites:
             sites.setdefault(site, []).append((name, line))
