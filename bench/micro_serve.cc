@@ -242,6 +242,19 @@ struct WireConnOutcome {
   size_t failed = 0;     // anything else (transport, deadline, ...)
 };
 
+/// The socket server serves a registry; the wire benches load the fixture
+/// ensemble as its one model, under the same serving options as the
+/// in-process sweep.
+constexpr char kWireModel[] = "serve";
+
+std::unique_ptr<serve::ModelRegistry> OneModelRegistry(int batch_delay_us) {
+  serve::ModelRegistryOptions options;
+  options.serving = LoadTestOptions(batch_delay_us);
+  auto registry = serve::ModelRegistry::Create(options).MoveValue();
+  if (!registry->Load(kWireModel, ServeEnsemble()).ok()) std::abort();
+  return registry;
+}
+
 /// Max sustainable rate THROUGH THE WIRE (closed loop, 4 keep-alive
 /// connections), measured once. The wire sweep is expressed relative to
 /// this — not the in-process max — so rate_pct=100 saturates the socket
@@ -250,10 +263,10 @@ double WireBaseRatePerSec() {
   using namespace treewm::serve::wire;
   static const double rate = [] {
     const auto& fx = ServeFixture();
-    auto created = serve::ServingFrontEnd::Create(ServeEnsemble(),
-                                                  LoadTestOptions(200));
-    auto serving = std::move(created).MoveValue();
-    auto server = SocketServer::Create(serving.get(), {});
+    auto registry = OneModelRegistry(200);
+    SocketServerOptions wire_options;
+    wire_options.default_model = kWireModel;
+    auto server = SocketServer::Create(registry.get(), wire_options);
     if (!server.ok()) std::abort();
     constexpr size_t kConns = 4, kPerConn = 600;
     std::atomic<size_t> served{0};
@@ -277,7 +290,7 @@ double WireBaseRatePerSec() {
     }
     const std::chrono::duration<double> elapsed = steady_clock::now() - start;
     server.value()->Shutdown();
-    serving->Shutdown();
+    registry->Shutdown();
     return static_cast<double>(std::max<size_t>(served.load(), 1)) /
            elapsed.count();
   }();
@@ -303,15 +316,14 @@ void BM_WireOpenLoopOverload(benchmark::State& state) {
   std::vector<WireConnOutcome> outcomes(num_connections);
   double elapsed_s = 0;
   for (auto _ : state) {
-    auto created = serve::ServingFrontEnd::Create(ServeEnsemble(),
-                                                  LoadTestOptions(200));
-    auto serving = std::move(created).MoveValue();
+    auto registry = OneModelRegistry(200);
     SocketServerOptions wire_options;
+    wire_options.default_model = kWireModel;
     wire_options.max_connections = num_connections + 4;
     // The front-end's shed high-water is the gate under test; keep the
     // wire-level pipelining cap out of the way.
     wire_options.max_in_flight_per_connection = 4096;
-    auto server = SocketServer::Create(serving.get(), wire_options);
+    auto server = SocketServer::Create(registry.get(), wire_options);
     if (!server.ok()) std::abort();
 
     std::vector<Fd> fds(num_connections);
@@ -428,7 +440,7 @@ void BM_WireOpenLoopOverload(benchmark::State& state) {
         stats.responses_sent + stats.refusals_sent + stats.responses_dropped) {
       std::abort();
     }
-    serving->Shutdown();
+    registry->Shutdown();
   }
 
   std::vector<double> all_latencies;

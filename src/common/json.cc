@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -70,14 +71,16 @@ const char* TypeName(JsonValue::Type type) {
   return "?";
 }
 
-}  // namespace
-
-Result<bool> JsonValue::ToBool() const {
-  if (!is_bool()) {
-    return Status::ParseError(StrFormat("expected bool, got %s", TypeName(type_)));
-  }
-  return bool_;
+/// Names the key in a failed typed lookup.
+template <typename T>
+Result<T> WithKey(std::string_view key, Result<T> converted) {
+  if (converted.ok()) return converted;
+  return Status::ParseError(StrFormat("key '%.*s': %s",
+                                      static_cast<int>(key.size()), key.data(),
+                                      converted.status().message().c_str()));
 }
+
+}  // namespace
 
 Result<double> JsonValue::ToDouble() const {
   if (!is_number()) {
@@ -90,34 +93,58 @@ Result<int64_t> JsonValue::ToInt64() const {
   if (!is_number()) {
     return Status::ParseError(StrFormat("expected number, got %s", TypeName(type_)));
   }
-  // Reject NaN/inf and magnitudes llround cannot represent; 2^63 is exactly
+  // Reject NaN/inf and magnitudes int64 cannot represent; 2^63 is exactly
   // representable as double, so the open upper bound is exact.
   if (!(number_ >= -9223372036854775808.0 && number_ < 9223372036854775808.0)) {
     return Status::ParseError(StrFormat("number %g out of int64 range", number_));
   }
-  return static_cast<int64_t>(std::llround(number_));
+  if (number_ != std::trunc(number_)) {  // rounding would hide corruption
+    return Status::ParseError(StrFormat("number %g is not an integer", number_));
+  }
+  return static_cast<int64_t>(number_);
+}
+
+Result<int> JsonValue::ToInt() const {
+  TREEWM_ASSIGN_OR_RETURN(const int64_t value, ToInt64());
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::ParseError(StrFormat("number %lld out of int range",
+                                        static_cast<long long>(value)));
+  }
+  return static_cast<int>(value);
+}
+
+JsonValue JsonValue::FromFloat(float f) {
+  if (std::isinf(f)) return JsonValue(f > 0 ? "inf" : "-inf");
+  return JsonValue(static_cast<double>(f));
+}
+
+Result<float> JsonValue::ToFloat() const {
+  if (is_string() && (string_ == "inf" || string_ == "-inf")) {
+    const float inf = std::numeric_limits<float>::infinity();
+    return string_ == "inf" ? inf : -inf;
+  }
+  TREEWM_ASSIGN_OR_RETURN(const double value, ToDouble());  // other strings fail
+  // A finite number past float range would silently narrow to ±inf.
+  if (!(std::fabs(value) <= std::numeric_limits<float>::max())) {
+    return Status::ParseError(StrFormat("number %g out of float range", value));
+  }
+  return static_cast<float>(value);
 }
 
 Result<int64_t> JsonValue::GetInt64(std::string_view key) const {
   TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
-  Result<int64_t> converted = value->ToInt64();
-  if (!converted.ok()) {
-    return Status::ParseError(StrFormat("key '%.*s': %s",
-                                        static_cast<int>(key.size()), key.data(),
-                                        converted.status().message().c_str()));
-  }
-  return converted;
+  return WithKey(key, value->ToInt64());
 }
 
-Result<double> JsonValue::GetDouble(std::string_view key) const {
+Result<int> JsonValue::GetInt(std::string_view key) const {
   TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
-  Result<double> converted = value->ToDouble();
-  if (!converted.ok()) {
-    return Status::ParseError(StrFormat("key '%.*s': %s",
-                                        static_cast<int>(key.size()), key.data(),
-                                        converted.status().message().c_str()));
-  }
-  return converted;
+  return WithKey(key, value->ToInt());
+}
+
+Result<float> JsonValue::GetFloat(std::string_view key) const {
+  TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
+  return WithKey(key, value->ToFloat());
 }
 
 Result<const JsonValue*> JsonValue::GetArray(std::string_view key) const {

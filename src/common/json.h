@@ -68,11 +68,21 @@ class JsonValue {
 
   /// Checked conversions for untrusted documents (model files, bundles):
   /// ParseError instead of an assert on type mismatch. ToInt64 also rejects
-  /// non-finite numbers and values outside int64 range — a corrupt file must
-  /// fail closed, not feed llround undefined behavior.
-  [[nodiscard]] Result<bool> ToBool() const;
+  /// non-integers and values outside int64 range — a corrupt file must fail
+  /// closed, never load as a rounded or wrapped value.
   [[nodiscard]] Result<double> ToDouble() const;
   [[nodiscard]] Result<int64_t> ToInt64() const;
+  /// ToInt64, then ParseError outside int range (never a silent wrap).
+  [[nodiscard]] Result<int> ToInt() const;
+
+  /// Float fields (tree thresholds, dataset cells). JSON numbers cannot
+  /// carry ±inf, so they are written as the strings "inf" and "-inf";
+  /// finite values stay numbers and round-trip exactly. NaN has no
+  /// encoding: it is written null, which ToFloat rejects.
+  static JsonValue FromFloat(float f);
+  /// Inverse of FromFloat. ParseError on a finite number outside float
+  /// range (it would narrow to ±inf) and on any other type or string.
+  [[nodiscard]] Result<float> ToFloat() const;
 
   /// Object field lookup; returns nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
@@ -83,7 +93,8 @@ class JsonValue {
   /// Typed object lookups: Get + checked conversion in one step, with the
   /// field name in the error message.
   [[nodiscard]] Result<int64_t> GetInt64(std::string_view key) const;
-  [[nodiscard]] Result<double> GetDouble(std::string_view key) const;
+  [[nodiscard]] Result<int> GetInt(std::string_view key) const;
+  [[nodiscard]] Result<float> GetFloat(std::string_view key) const;
   /// Get + must-be-array check; returns the array-typed node.
   [[nodiscard]] Result<const JsonValue*> GetArray(std::string_view key) const;
 

@@ -43,7 +43,7 @@ JsonValue DatasetToJson(const data::Dataset& dataset) {
   JsonValue labels = JsonValue::MakeArray();
   for (size_t i = 0; i < dataset.num_rows(); ++i) {
     JsonValue row = JsonValue::MakeArray();
-    for (float v : dataset.Row(i)) row.Append(JsonValue(static_cast<double>(v)));
+    for (float v : dataset.Row(i)) row.Append(JsonValue::FromFloat(v));
     rows.Append(std::move(row));
     labels.Append(JsonValue(dataset.Label(i)));
   }
@@ -75,11 +75,11 @@ Result<data::Dataset> DatasetFromJson(const JsonValue& json) {
     if (!row_json.is_array()) return Status::ParseError("row must be an array");
     row.clear();
     for (const JsonValue& v : row_json.AsArray()) {
-      TREEWM_ASSIGN_OR_RETURN(double value, v.ToDouble());
-      row.push_back(static_cast<float>(value));
+      TREEWM_ASSIGN_OR_RETURN(const float value, v.ToFloat());
+      row.push_back(value);
     }
-    TREEWM_ASSIGN_OR_RETURN(int64_t label, labels->AsArray()[i].ToInt64());
-    TREEWM_RETURN_IF_ERROR(dataset.AddRow(row, static_cast<int>(label)));
+    TREEWM_ASSIGN_OR_RETURN(const int label, labels->AsArray()[i].ToInt());
+    TREEWM_RETURN_IF_ERROR(dataset.AddRow(row, label));
   }
   return dataset;
 }

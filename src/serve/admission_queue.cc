@@ -15,7 +15,7 @@ AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options)
       }()),
       clock_(options.clock != nullptr ? options.clock : Clock::System()) {}
 
-Status AdmissionQueue::Push(QueuedRequest item) {
+Status AdmissionQueue::Push(QueuedRequest&& item) {
   if (TREEWM_FAULT_FIRED("serve.admission.full")) {
     MutexLock lock(&mutex_);
     ++stats_.rejected_full;

@@ -75,10 +75,10 @@ class AdmissionQueue {
 
   /// Admits `item` under the configured backpressure policy. The item's own
   /// deadline bounds a kBlockWithDeadline wait. On a non-OK return the item
-  /// was NOT admitted and the caller still owns its promise.
+  /// was NOT admitted (nor moved from): the caller still owns its completion.
   /// Fault site "serve.admission.full": a fired hit behaves as an
   /// instantaneous full queue regardless of actual depth.
-  [[nodiscard]] Status Push(QueuedRequest item) TREEWM_EXCLUDES(mutex_);
+  [[nodiscard]] Status Push(QueuedRequest&& item) TREEWM_EXCLUDES(mutex_);
 
   /// Pops the oldest request, blocking until one is available or the queue
   /// is shut down AND drained (returns false — the consumer can stop).

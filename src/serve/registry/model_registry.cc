@@ -30,12 +30,6 @@ void AccumulateServingStats(ServingStats* into, const ServingStats& from) {
   into->max_batch_rows = std::max(into->max_batch_rows, from.max_batch_rows);
 }
 
-std::future<Result<PredictResult>> ImmediateRefusal(Status status) {
-  std::promise<Result<PredictResult>> promise;
-  promise.set_value(std::move(status));
-  return promise.get_future();
-}
-
 constexpr size_t kMaxModelIdChars = 256;
 
 }  // namespace
@@ -351,9 +345,8 @@ Status ModelRegistry::Unload(const std::string& id) {
   return Status::OK();
 }
 
-std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
-    const std::string& id, std::span<const float> x,
-    const RequestOptions& options) {
+void ModelRegistry::Submit(const std::string& id, std::span<const float> x,
+                           const RequestOptions& options, CompletionFn done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<Entry> entry;
   {
@@ -363,22 +356,36 @@ std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
   }
   if (entry == nullptr) {
     refused_unknown_model_.fetch_add(1, std::memory_order_relaxed);
-    return ImmediateRefusal(
-        Status::NotFound(StrFormat("model '%s' not found", id.c_str())));
+    done(Status::NotFound(StrFormat("model '%s' not found", id.c_str())));
+    return;
   }
-  // The push is a bounded non-blocking enqueue (kReject policy, enforced at
-  // Create), so holding the entry lock across it is cheap — and is exactly
-  // what makes the reload swap atomic: every submit lands in the front-end
-  // that will be drained, never between two of them.
-  MutexLock lock(&entry->mutex);
-  if (entry->state != ModelState::kServing) {
-    refused_not_serving_.fetch_add(1, std::memory_order_relaxed);
-    Status cause = entry->last_error;
-    return ImmediateRefusal(Status::FailedPrecondition(StrFormat(
-        "model '%s' is %s%s", id.c_str(), ModelStateName(entry->state),
-        cause.ok() ? "" : (": " + cause.message()).c_str())));
+  Status refusal = Status::OK();
+  {
+    // The push is a bounded non-blocking enqueue (kReject policy, enforced
+    // at Create), so holding the entry lock across it is cheap — and is
+    // exactly what makes the reload swap atomic: every submit lands in the
+    // front-end that will be drained, never between two of them.
+    MutexLock lock(&entry->mutex);
+    if (entry->state != ModelState::kServing) {
+      refused_not_serving_.fetch_add(1, std::memory_order_relaxed);
+      Status cause = entry->last_error;
+      refusal = Status::FailedPrecondition(StrFormat(
+          "model '%s' is %s%s", id.c_str(), ModelStateName(entry->state),
+          cause.ok() ? "" : (": " + cause.message()).c_str()));
+    } else {
+      refusal = entry->front_end->Admit(x, options, &done);
+    }
   }
-  return entry->front_end->SubmitPredict(x, options);
+  // Refusals complete off the entry lock: a callback may call back in.
+  if (!refusal.ok()) done(std::move(refusal));
+}
+
+std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
+    const std::string& id, std::span<const float> x,
+    const RequestOptions& options) {
+  std::future<Result<PredictResult>> future;
+  Submit(id, x, options, FutureCompletion(&future));
+  return future;
 }
 
 Result<PredictResult> ModelRegistry::Predict(const std::string& id,

@@ -23,7 +23,7 @@
 // front-end under the same short entry lock, every request lands in exactly
 // one front-end — requests admitted before the swap finish on the old
 // image, admissions after it see the new one, and draining the old
-// front-end completes every accepted promise. Zero requests are dropped or
+// front-end completes every accepted request. Zero requests are dropped or
 // spuriously refused across a swap, and the accounting identity
 //
 //   registry submitted == Σ front-end submitted (live + retired + unloaded)
@@ -116,7 +116,7 @@ struct RegistryStats {
   uint64_t reload_failures = 0;
   uint64_t unloads = 0;
   uint64_t breaker_trips = 0;
-  uint64_t submitted = 0;              ///< registry-level SubmitPredict calls
+  uint64_t submitted = 0;              ///< registry-level Submit calls
   uint64_t refused_unknown_model = 0;  ///< NotFound (no such entry)
   uint64_t refused_not_serving = 0;    ///< FailedPrecondition (wrong state)
   /// Aggregate over every front-end the registry ever ran (live entries,
@@ -168,10 +168,15 @@ class ModelRegistry {
   /// reload is in flight.
   [[nodiscard]] Status Unload(const std::string& id);
 
-  /// Routes one request to `id`'s bulkhead. The returned future always
-  /// resolves exactly once: a PredictResult, the model's front-end refusal,
-  /// or an immediate NotFound / FailedPrecondition when the model cannot
-  /// accept work. Thread-safe against concurrent Load/Reload/Unload.
+  /// Routes one request to `id`'s bulkhead. `done` is invoked exactly once:
+  /// a PredictResult, the model's front-end refusal, or an immediate
+  /// NotFound / FailedPrecondition when the model cannot accept work.
+  /// Immediate refusals run on the calling thread with no registry lock
+  /// held. Thread-safe against concurrent Load/Reload/Unload.
+  void Submit(const std::string& id, std::span<const float> x,
+              const RequestOptions& options, CompletionFn done);
+
+  /// Future adapter over Submit.
   std::future<Result<PredictResult>> SubmitPredict(
       const std::string& id, std::span<const float> x,
       const RequestOptions& options = {});

@@ -60,18 +60,15 @@ ServingFrontEnd::ServingFrontEnd(
 
 ServingFrontEnd::~ServingFrontEnd() { Shutdown(); }
 
-std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
-    std::span<const float> x, const RequestOptions& request_options) {
+Status ServingFrontEnd::Admit(std::span<const float> x,
+                              const RequestOptions& request_options,
+                              CompletionFn* done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto promise = std::make_shared<std::promise<Result<PredictResult>>>();
-  std::future<Result<PredictResult>> future = promise->get_future();
-
   if (x.size() != ensemble_->num_features()) {
     rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-    promise->set_value(Status::InvalidArgument(
+    return Status::InvalidArgument(
         "request has " + std::to_string(x.size()) + " features, model expects " +
-        std::to_string(ensemble_->num_features())));
-    return future;
+        std::to_string(ensemble_->num_features()));
   }
 
   const auto now = clock_->Now();
@@ -81,7 +78,7 @@ std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
   request.deadline =
       request_options.timeout.count() > 0 ? now + request_options.timeout : kNoDeadline;
   request.admitted_at = now;
-  request.promise = promise;
+  request.done = std::move(*done);
 
   Status admitted = queue_.Push(std::move(request));
   if (!admitted.ok()) {
@@ -89,8 +86,22 @@ std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
     // so reporting the shed never becomes the bottleneck being reported.
     TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                        "serve: admission rejected: " + admitted.ToString());
-    promise->set_value(std::move(admitted));
+    // Push moves from an admitted item only; a refused one is intact.
+    *done = std::move(request.done);  // NOLINT(bugprone-use-after-move)
   }
+  return admitted;
+}
+
+void ServingFrontEnd::Submit(std::span<const float> x,
+                             const RequestOptions& options, CompletionFn done) {
+  Status refusal = Admit(x, options, &done);
+  if (!refusal.ok()) done(std::move(refusal));
+}
+
+std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
+    std::span<const float> x, const RequestOptions& options) {
+  std::future<Result<PredictResult>> future;
+  Submit(x, options, FutureCompletion(&future));
   return future;
 }
 
@@ -126,7 +137,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
       expired_dispatch_.fetch_add(1, std::memory_order_relaxed);
       TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                          "serve: request expired before dispatch");
-      request.promise->set_value(
+      request.done(
           Status::DeadlineExceeded("deadline expired before dispatch"));
       ++answered;
     } else {
@@ -158,7 +169,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
       expired_completion_.fetch_add(1, std::memory_order_relaxed);
       TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                          "serve: request expired during batch compute");
-      request.promise->set_value(
+      request.done(
           Status::DeadlineExceeded("deadline expired during batch compute"));
       continue;
     }
@@ -168,7 +179,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
     int sum = 0;
     for (int8_t v : row) sum += v;
     result.label = sum >= 0 ? +1 : -1;  // same tie rule as PredictLabels
-    request.promise->set_value(std::move(result));
+    request.done(std::move(result));
     completed_ok_.fetch_add(1, std::memory_order_relaxed);
   }
   answered += live.size();
@@ -221,7 +232,7 @@ void ServingFrontEnd::Shutdown() {
     // and the loop exits once the queue is shut down and drained.
     dispatcher_pool_->Shutdown();
   } else {
-    // Manual mode: drain inline so every accepted promise is completed.
+    // Manual mode: drain inline so every accepted request is completed.
     MutexLock lock(&dispatch_mutex_);
     QueuedRequest request;
     while (queue_.TryPop(&request)) batcher_.Add(std::move(request));

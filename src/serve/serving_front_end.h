@@ -14,8 +14,8 @@
 //     high-water mark new arrivals are rejected AND the batcher's flush
 //     delay collapses to zero so batches fill from the backlog;
 //   * drain-on-shutdown: Shutdown() stops admission and answers every
-//     in-flight request before returning — each accepted promise is
-//     completed exactly once.
+//     in-flight request before returning — each accepted request's
+//     completion callback runs exactly once.
 //
 // Determinism contract: a request's successful PredictResult depends only
 // on its feature vector — never on batch packing, thread schedule, queue
@@ -55,8 +55,8 @@ struct ServingOptions {
   /// Queue depth at which the batcher's flush delay collapses to zero
   /// (0 = use queue.shed_high_water; both 0 disables degradation).
   size_t degrade_depth = 0;
-  /// Kernel/tiling/threading for the batched predictor. Thread count only
-  /// affects speed, never results.
+  /// Tiling/threading for the batched predictor. Thread count only affects
+  /// speed, never results.
   predict::BatchOptions predictor;
   /// Time source (nullptr = system clock). With a FakeClock, construct with
   /// start_dispatcher = false and drive Pump() manually — the background
@@ -70,7 +70,7 @@ struct ServingOptions {
 /// Point-in-time counters snapshot (all requests accounted: admitted ==
 /// completed_ok + expired_* once drained; submitted == admitted + rejected).
 struct ServingStats {
-  uint64_t submitted = 0;            ///< SubmitPredict calls
+  uint64_t submitted = 0;            ///< Submit calls (incl. adapters)
   uint64_t admitted = 0;             ///< accepted into the queue
   uint64_t completed_ok = 0;         ///< answered with a PredictResult
   uint64_t rejected_full = 0;        ///< queue at capacity (ResourceExhausted)
@@ -102,8 +102,13 @@ class ServingFrontEnd {
   ServingFrontEnd(const ServingFrontEnd&) = delete;
   ServingFrontEnd& operator=(const ServingFrontEnd&) = delete;
 
-  /// Submits one instance. Returns a future that resolves to the result or
-  /// a typed error; admission failures resolve immediately. Thread-safe.
+  /// Submits one instance; `done` is invoked exactly once with the result
+  /// or a typed error (see CompletionFn for the thread it runs on).
+  /// Admission failures invoke it before Submit returns. Thread-safe.
+  void Submit(std::span<const float> x, const RequestOptions& options,
+              CompletionFn done);
+
+  /// Future adapter over Submit.
   std::future<Result<PredictResult>> SubmitPredict(std::span<const float> x,
                                                    const RequestOptions& options = {});
 
@@ -127,14 +132,22 @@ class ServingFrontEnd {
   size_t num_trees() const { return ensemble_->num_trees(); }
 
  private:
+  friend class ModelRegistry;
+
   ServingFrontEnd(std::shared_ptr<const predict::FlatEnsemble> ensemble,
                   ServingOptions options);
+
+  /// Admits one request. OK: `*done` moved into the queue, invoked later.
+  /// Otherwise the typed refusal, with `*done` intact and not yet invoked,
+  /// so the registry can run it after releasing its entry lock.
+  [[nodiscard]] Status Admit(std::span<const float> x,
+                             const RequestOptions& options, CompletionFn* done);
 
   void DispatcherLoop() TREEWM_EXCLUDES(dispatch_mutex_);
   /// Applies the degradation dial from the current queue depth.
   void UpdateDegradationLocked() TREEWM_REQUIRES(dispatch_mutex_);
   /// Dispatches one batch from the batcher: expires stale requests, runs
-  /// the predictor, completes every promise. Returns requests answered.
+  /// the predictor, completes every request. Returns requests answered.
   size_t FlushBatchLocked() TREEWM_REQUIRES(dispatch_mutex_);
 
   std::shared_ptr<const predict::FlatEnsemble> ensemble_;
@@ -160,7 +173,6 @@ class ServingFrontEnd {
   // Counters not already tracked by the queue (see stats()).
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_invalid_{0};
-  std::atomic<uint64_t> expired_admission_{0};
   std::atomic<uint64_t> expired_dispatch_{0};
   std::atomic<uint64_t> expired_completion_{0};
   std::atomic<uint64_t> completed_ok_{0};

@@ -4,8 +4,8 @@
 // its pending-output buffer. It is DELIBERATELY lock-free: every Connection
 // is owned and driven by exactly one thread (the server's event loop), the
 // same externally-guarded-capability pattern the Batcher uses. The server
-// never hands a Connection to another thread; completions produced on the
-// collector thread are routed by connection id and applied by the loop.
+// never hands a Connection to another thread; completions from the models'
+// dispatcher threads are routed by connection id and applied by the loop.
 
 #ifndef TREEWM_SERVE_WIRE_CONNECTION_H_
 #define TREEWM_SERVE_WIRE_CONNECTION_H_

@@ -60,8 +60,8 @@
 namespace treewm::serve::wire {
 
 inline constexpr uint8_t kMagic[4] = {'T', 'W', 'M', 'P'};
-/// v1: single-model protocol (PR 9). Still the default for clients that do
-/// not target a model by id.
+/// v1: no model id (the server routes it to its default model). Still the
+/// default for clients that do not target a model by id.
 inline constexpr uint8_t kWireVersion = 1;
 /// v2: adds the model-id field to kPredictRequest and the models-listing
 /// frame pair. Anything above this is rejected as unsupported.

@@ -87,9 +87,8 @@ class SocketClient {
   /// Liveness round-trip: sends a ping, expects the token echoed back.
   [[nodiscard]] Status Ping();
 
-  /// Lists the server's models (always a v2 round-trip). A single-model
-  /// server answers FailedPrecondition; rows come back in the server's
-  /// deterministic (id-sorted) order.
+  /// Lists the server's models (always a v2 round-trip); rows come back in
+  /// the server's deterministic (id-sorted) order.
   [[nodiscard]] Result<std::vector<ModelInfoMsg>> ListModels();
 
   /// Round-trips completed on the current connection (diagnostics).

@@ -3,10 +3,13 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "serve/registry/model_registry.h"
 
 namespace treewm::serve::wire {
@@ -15,10 +18,6 @@ namespace {
 /// Cap on accepts per poll round so an accept storm cannot starve
 /// established connections.
 constexpr int kMaxAcceptsPerRound = 32;
-
-/// Slice for the collector's future waits: short enough that shutdown's
-/// abandon flag is honored promptly, long enough to cost nothing.
-constexpr std::chrono::milliseconds kCollectorWaitSlice{5};
 
 int ToPollTimeoutMs(std::chrono::nanoseconds wait) {
   if (wait.count() <= 0) return 0;
@@ -30,13 +29,61 @@ int ToPollTimeoutMs(std::chrono::nanoseconds wait) {
 
 }  // namespace
 
-Result<std::unique_ptr<SocketServer>> SocketServer::Create(
-    ServingFrontEnd* front_end, SocketServerOptions options) {
-  if (front_end == nullptr) {
-    return Status::InvalidArgument("socket server needs a serving front-end");
+/// The completion handoff from the models' dispatcher threads to the poll
+/// loop. Every in-flight completion callback holds it by shared_ptr, so it
+/// outlives the server: once Close() has run (Shutdown), a late completion
+/// finds `closed` and does nothing — it was already counted dropped.
+struct SocketServer::Outbox {
+  struct Completion {
+    uint64_t conn_id = 0;
+    uint64_t request_id = 0;
+    uint8_t version = kWireVersion;  ///< answer stamped like the request
+    Result<PredictResult> result;
+  };
+
+  explicit Outbox(Fd wake) : wake_write(std::move(wake)) {}
+
+  /// Counts a request in before Submit (a refusal completes it inline).
+  void Begin() TREEWM_EXCLUDES(mutex) {
+    MutexLock lock(&mutex);
+    ++in_flight;
   }
-  return CreateImpl(front_end, nullptr, std::move(options));
-}
+
+  /// Completion-callback body. Wakes the loop only on the empty → non-empty
+  /// edge (about once per batch). The pipe write stays under the lock: an
+  /// open outbox guarantees the loop's pipe is still open.
+  void Complete(Completion completion) TREEWM_EXCLUDES(mutex) {
+    MutexLock lock(&mutex);
+    if (closed) return;
+    --in_flight;
+    const bool wake = done.empty();
+    done.push_back(std::move(completion));
+    if (wake) SignalWakePipe(wake_write);
+  }
+
+  /// Everything completed so far. The loop drains the wake pipe BEFORE
+  /// calling this, so a completion that lands after the swap re-arms it.
+  std::deque<Completion> Take() TREEWM_EXCLUDES(mutex) {
+    MutexLock lock(&mutex);
+    return std::exchange(done, {});
+  }
+
+  /// Closes the outbox; returns the answers it will never deliver (queued
+  /// but untaken, plus still in flight). Later completions are no-ops.
+  uint64_t Close() TREEWM_EXCLUDES(mutex) {
+    MutexLock lock(&mutex);
+    closed = true;
+    const uint64_t undeliverable = done.size() + in_flight;
+    done.clear();
+    return undeliverable;
+  }
+
+  const Fd wake_write;
+  Mutex mutex;
+  std::deque<Completion> done TREEWM_GUARDED_BY(mutex);
+  uint64_t in_flight TREEWM_GUARDED_BY(mutex) = 0;
+  bool closed TREEWM_GUARDED_BY(mutex) = false;
+};
 
 Result<std::unique_ptr<SocketServer>> SocketServer::Create(
     ModelRegistry* registry, SocketServerOptions options) {
@@ -45,17 +92,11 @@ Result<std::unique_ptr<SocketServer>> SocketServer::Create(
   }
   if (options.default_model.empty()) {
     return Status::InvalidArgument(
-        "registry mode needs a default model for v1 clients");
+        "socket server needs a default model for v1 clients");
   }
   if (options.default_model.size() > kMaxModelIdBytes) {
     return Status::InvalidArgument("default model id is too long for the wire");
   }
-  return CreateImpl(nullptr, registry, std::move(options));
-}
-
-Result<std::unique_ptr<SocketServer>> SocketServer::CreateImpl(
-    ServingFrontEnd* front_end, ModelRegistry* registry,
-    SocketServerOptions options) {
   if (options.max_connections == 0) {
     return Status::InvalidArgument("max_connections must be >= 1");
   }
@@ -70,40 +111,29 @@ Result<std::unique_ptr<SocketServer>> SocketServer::CreateImpl(
                           ListenTcpLoopback(options.port, options.backlog));
   TREEWM_ASSIGN_OR_RETURN(const uint16_t port, LocalPort(listener));
   TREEWM_ASSIGN_OR_RETURN(auto pipe_ends, MakeWakePipe());
-  auto server = std::unique_ptr<SocketServer>(new SocketServer(
-      front_end, registry, options, std::move(listener),
+  return std::unique_ptr<SocketServer>(new SocketServer(
+      registry, std::move(options), std::move(listener),
       std::move(pipe_ends.first), std::move(pipe_ends.second), port));
-  return server;
 }
 
-SocketServer::SocketServer(ServingFrontEnd* front_end, ModelRegistry* registry,
-                           SocketServerOptions options, Fd listener,
-                           Fd wake_read, Fd wake_write, uint16_t port)
-    : front_end_(front_end),
-      registry_(registry),
-      options_(options),
-      clock_(options.clock),
+SocketServer::SocketServer(ModelRegistry* registry, SocketServerOptions options,
+                           Fd listener, Fd wake_read, Fd wake_write,
+                           uint16_t port)
+    : registry_(registry),
+      options_(std::move(options)),
+      clock_(options_.clock),
       port_(port),
       listener_(std::move(listener)),
       wake_read_(std::move(wake_read)),
-      wake_write_(std::move(wake_write)) {
-  collector_pool_ = std::make_unique<ThreadPool>(1);
+      outbox_(std::make_shared<Outbox>(std::move(wake_write))) {
   loop_pool_ = std::make_unique<ThreadPool>(1);
-  Status collector_started = collector_pool_->Submit([this] { CollectorLoop(); });
   Status loop_started = loop_pool_->Submit([this] { EventLoop(); });
-  // Fresh 1-thread pools only reject under an injected thread_pool fault;
+  // A fresh 1-thread pool only rejects under an injected thread_pool fault;
   // fall back to immediate-drain mode rather than serving half a server.
-  if (!collector_started.ok() || !loop_started.ok()) {
+  if (!loop_started.ok()) {
     LogWarning("wire: server thread submit rejected, wire layer disabled: " +
-               (collector_started.ok() ? loop_started : collector_started)
-                   .ToString());
+               loop_started.ToString());
     drain_requested_.store(true, std::memory_order_release);
-    abandon_completions_.store(true, std::memory_order_release);
-    {
-      MutexLock lock(&pending_mutex_);
-      collector_stop_ = true;
-    }
-    pending_ready_.NotifyAll();
     listener_.Close();
   }
 }
@@ -150,19 +180,8 @@ void SocketServer::HandleModelsRequest(Connection* conn, const Frame& frame) {
     return;
   }
   models_requests_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t token = request.value().token;
-  if (registry_ == nullptr) {
-    // Single-model server: a typed refusal (echoing the token as the
-    // request id), connection kept — the client asked a fair question.
-    refusals_sent_.fetch_add(1, std::memory_order_relaxed);
-    SendErrorFrame(conn, token,
-                   Status::FailedPrecondition(
-                       "server has no model registry (single-model mode)"),
-                   frame.version);
-    return;
-  }
   ModelsResponseMsg response;
-  response.token = token;
+  response.token = request.value().token;
   for (const ModelEntryInfo& entry : registry_->List()) {
     ModelInfoMsg info;
     info.id = entry.id;
@@ -232,42 +251,20 @@ void SocketServer::HandleFrame(Connection* conn, Frame frame) {
       }
       RequestOptions req_options;
       req_options.timeout = request.value().timeout;
-      std::future<Result<PredictResult>> future;
-      if (registry_ != nullptr) {
-        // Registry routing: empty id (every v1 frame, and v2 frames that
-        // leave it blank) lands on the default model; an unknown id comes
-        // back as an immediate NotFound future → typed error frame below,
-        // connection kept.
-        const std::string& model = request.value().model_id.empty()
-                                       ? options_.default_model
-                                       : request.value().model_id;
-        future = registry_->SubmitPredict(model, request.value().features,
-                                          req_options);
-      } else if (!request.value().model_id.empty()) {
-        // A v2 client naming a model at a single-model server: nothing it
-        // could name exists here, so refuse typed rather than silently
-        // serving a different model than it asked for.
-        refusals_sent_.fetch_add(1, std::memory_order_relaxed);
-        SendErrorFrame(conn, request_id,
-                       Status::NotFound(
-                           "server is single-model; no model registry"),
-                       frame.version);
-        return;
-      } else {
-        future = front_end_->SubmitPredict(request.value().features,
-                                           req_options);
-      }
+      // Empty id (every v1 frame, and v2 frames that leave it blank) lands
+      // on the default model; an unknown id completes at once with
+      // NotFound → typed error frame, connection kept.
+      const std::string& model = request.value().model_id.empty()
+                                     ? options_.default_model
+                                     : request.value().model_id;
       conn->in_flight += 1;
-      {
-        MutexLock lock(&pending_mutex_);
-        PendingResponse pending;
-        pending.conn_id = conn->id();
-        pending.request_id = request_id;
-        pending.version = frame.version;
-        pending.future = std::move(future);
-        pending_.push_back(std::move(pending));
-      }
-      pending_ready_.NotifyOne();
+      outbox_->Begin();
+      registry_->Submit(
+          model, request.value().features, req_options,
+          [outbox = outbox_, conn_id = conn->id(), request_id,
+           version = frame.version](Result<PredictResult> result) {
+            outbox->Complete({conn_id, request_id, version, std::move(result)});
+          });
       return;
     }
     case FrameType::kModelsRequest: {
@@ -294,12 +291,7 @@ void SocketServer::HandleFrame(Connection* conn, Frame frame) {
 }
 
 void SocketServer::ApplyCompletions() {
-  std::deque<CompletedResponse> batch;
-  {
-    MutexLock lock(&completed_mutex_);
-    batch.swap(completed_);
-  }
-  for (CompletedResponse& completion : batch) {
+  for (Outbox::Completion& completion : outbox_->Take()) {
     auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) {
       responses_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -398,7 +390,7 @@ void SocketServer::EventLoop() {
       if (conns_.empty()) return;
       if (deadline_passed) {
         // Force-close the stragglers; their in-flight answers surface as
-        // responses_dropped when the collector abandons or delivers them.
+        // responses_dropped when Shutdown closes the outbox.
         to_erase.clear();
         for (auto& [id, conn] : conns_) to_erase.push_back(id);
         for (uint64_t id : to_erase) EraseConnection(id);
@@ -436,6 +428,9 @@ void SocketServer::EventLoop() {
       rc = ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
     } while (rc < 0 && errno == EINTR);
     now = clock_->Now();
+    // Drained here, before the next ApplyCompletions swaps the outbox: a
+    // completion landing after that swap finds it empty and re-arms the
+    // pipe, so no wake is lost.
     if (poll_fds[0].revents != 0) DrainWakePipe(wake_read_);
 
     // ---- events ----
@@ -516,61 +511,16 @@ void SocketServer::EventLoop() {
   }
 }
 
-void SocketServer::CollectorLoop() {
-  while (true) {
-    PendingResponse item;
-    {
-      MutexLock lock(&pending_mutex_);
-      while (pending_.empty() && !collector_stop_) pending_ready_.Wait(lock);
-      if (pending_.empty()) return;  // stop requested and queue drained
-      item = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    // Wait in slices: a wedged front-end must not pin shutdown — once the
-    // loop has exited, answers are undeliverable and abandoning is correct.
-    bool ready = false;
-    while (!ready) {
-      if (abandon_completions_.load(std::memory_order_acquire)) break;
-      ready = item.future.wait_for(kCollectorWaitSlice) ==
-              std::future_status::ready;
-    }
-    if (!ready) {
-      responses_dropped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    CompletedResponse completion{item.conn_id, item.request_id, item.version,
-                                 item.future.get()};
-    {
-      MutexLock lock(&completed_mutex_);
-      completed_.push_back(std::move(completion));
-    }
-    SignalWakePipe(wake_write_);
-  }
-}
-
 void SocketServer::Shutdown() {
   bool expected = false;
   if (!shutdown_started_.compare_exchange_strong(expected, true)) return;
   drain_requested_.store(true, std::memory_order_release);
-  SignalWakePipe(wake_write_);
+  SignalWakePipe(outbox_->wake_write);
   // Joins after EventLoop returns: drain complete or deadline hit.
   loop_pool_->Shutdown();
-  // The loop is gone; nothing further can be delivered. Tell the collector
-  // to finish the backlog (abandoning unresolved futures) and join it.
-  abandon_completions_.store(true, std::memory_order_release);
-  {
-    MutexLock lock(&pending_mutex_);
-    collector_stop_ = true;
-  }
-  pending_ready_.NotifyAll();
-  collector_pool_->Shutdown();
-  // Completions that raced in after the loop exited are undeliverable.
-  std::deque<CompletedResponse> leftovers;
-  {
-    MutexLock lock(&completed_mutex_);
-    leftovers.swap(completed_);
-  }
-  responses_dropped_.fetch_add(leftovers.size(), std::memory_order_relaxed);
+  // The loop is gone; nothing further can be delivered. Whatever is still
+  // queued or in flight is dropped — counted here, exactly once.
+  responses_dropped_.fetch_add(outbox_->Close(), std::memory_order_relaxed);
 }
 
 }  // namespace treewm::serve::wire

@@ -1,28 +1,22 @@
-// Poll-based event-loop socket server over the in-process ServingFrontEnd.
+// Poll-based event-loop socket server over a ModelRegistry.
 //
 // The wire half of the verification service (rspamd's scanning-daemon
-// shape): one nonblocking listener + one poll loop own every connection;
-// requests decoded off the wire are submitted to the UNCHANGED
-// ServingFrontEnd (bounded admission, coalescing batcher, deadlines,
-// shedding), and a collector thread turns the front-end's futures into
-// response frames the loop writes back. Per-request deadlines travel in the
-// request frame's timeout field, so the admission/dispatch/completion
-// checks apply to wire traffic exactly as to in-process callers.
+// shape): one nonblocking listener + one poll loop own every connection.
+// Decoded requests are submitted to the UNCHANGED serving stack (bounded
+// admission, coalescing batcher, deadlines, shedding) with a completion
+// callback that hands the answer back to the loop. Per-request deadlines
+// travel in the request frame's timeout field, so the admission/dispatch/
+// completion checks apply to wire traffic exactly as to in-process callers.
 //
-// Two serving modes, chosen at Create():
-//   * single-model — requests go straight to one borrowed ServingFrontEnd
-//     (the PR-9 shape, unchanged);
-//   * registry — requests are routed by the v2 frame's model-id field into
-//     a borrowed ModelRegistry. A v1 frame (or a v2 frame with an empty
-//     model id) lands on options.default_model, so v1 clients keep working
-//     against a multi-model server byte-for-byte; an unknown model id earns
-//     a typed NotFound error frame and the connection is KEPT — picking a
-//     missing model is the client's mistake, not a framing failure. The v2
-//     kModelsRequest frame answers a kModelsResponse listing every model
-//     (id, lifecycle state, image checksum, shed counters); on a
-//     single-model server it earns a FailedPrecondition error frame.
-// Response and error frames are stamped with the version of the request
-// frame they answer, so a v1 client never sees a v2 frame.
+// Routing is by the v2 frame's model-id field. A v1 frame (or a v2 frame
+// with an empty model id) lands on options.default_model, so v1 clients
+// keep working byte-for-byte; an unknown model id earns a typed NotFound
+// error frame and the connection is KEPT — picking a missing model is the
+// client's mistake, not a framing failure. The v2 kModelsRequest frame
+// answers a kModelsResponse listing every model (id, lifecycle state, image
+// checksum, shed counters). To serve one model, load it into a one-model
+// registry and make it the default. Response and error frames are stamped
+// with the version of the request frame they answer.
 //
 // Robustness envelope at the wire:
 //   * keep-alive connections with an idle timeout (a silent client cannot
@@ -38,20 +32,23 @@
 //   * graceful drain: Shutdown() closes the listener, lets in-flight
 //     requests finish (bounded by drain_deadline), flushes their responses,
 //     then tears everything down. Every request received on the wire is
-//     answered or refused exactly once; responses whose connection died are
-//     counted in responses_dropped, never silently lost.
+//     answered or refused exactly once; answers whose connection died, or
+//     still in flight when the drain ended, count in responses_dropped.
 //
 // Determinism contract (tests/test_wire.cc): completed responses are
-// bit-identical to the in-process ServingFrontEnd result for the same
-// feature vector, across connection counts × batch shapes × fault
-// schedules. The wire can change WHICH requests complete, never the value
-// a completed request is served.
+// bit-identical to the in-process result for the same feature vector,
+// across connection counts × batch shapes × fault schedules. The wire can
+// change WHICH requests complete, never the value a completed request is
+// served.
 //
-// Threading: the poll loop and the collector run on 1-worker ThreadPools
-// (the PR-6 dispatcher idiom; drain-on-shutdown is the join protocol).
-// Connections and the conns_ map are loop-thread-only (externally-guarded
-// capability, like Batcher); the pending/completed queues between loop and
-// collector are Mutex-guarded and annotated; counters are atomics.
+// Threading: ONE thread, the poll loop, on a 1-worker ThreadPool
+// (drain-on-shutdown is the join protocol). Connections and the conns_ map
+// are loop-thread-only (externally-guarded capability, like Batcher).
+// Completion callbacks run on the models' dispatcher threads and touch
+// only the shared, Mutex-guarded Outbox, which outlives the server: a
+// completion after Shutdown — even after destruction — is a no-op. Answers
+// reach the loop in completion order, so one model's slow batch never
+// holds back another model's finished answers. Counters are atomics.
 
 #ifndef TREEWM_SERVE_WIRE_SOCKET_SERVER_H_
 #define TREEWM_SERVE_WIRE_SOCKET_SERVER_H_
@@ -59,18 +56,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "common/annotations.h"
 #include "common/clock.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "serve/serving_front_end.h"
+#include "serve/request.h"
 #include "serve/wire/connection.h"
 #include "serve/wire/frame.h"
 #include "serve/wire/sockets.h"
@@ -101,8 +94,8 @@ struct SocketServerOptions {
   std::chrono::nanoseconds drain_deadline = std::chrono::seconds(5);
   /// Frame-body ceiling handed to each connection's decoder.
   size_t max_body_bytes = kDefaultMaxBodyBytes;
-  /// Registry mode only: the model v1 frames (and v2 frames with an empty
-  /// model id) are routed to. Must name a loaded model for such requests to
+  /// The model v1 frames (and v2 frames with an empty model id) are routed
+  /// to. Must name a loaded model for such requests to
   /// complete — an unknown id is refused NotFound per request.
   std::string default_model;
   /// Time source for idle/drain arithmetic (nullptr = system clock). Real
@@ -135,17 +128,12 @@ struct WireStats {
 
 class SocketServer {
  public:
-  /// Binds, starts the loop + collector, returns a serving server.
-  /// `front_end` is borrowed and must outlive the server; use an
-  /// OverflowPolicy::kReject queue (a blocking admission policy would stall
-  /// the event loop — the wire's backpressure is the typed refusal).
-  [[nodiscard]] static Result<std::unique_ptr<SocketServer>> Create(
-      ServingFrontEnd* front_end, SocketServerOptions options);
-
-  /// Registry mode: routes by the v2 model-id field (see file comment).
-  /// `registry` is borrowed and must outlive the server;
-  /// options.default_model must be non-empty — it is where every v1 frame
-  /// lands.
+  /// Binds, starts the loop, returns a serving server. `registry` is
+  /// borrowed and must outlive the server; options.default_model must be
+  /// non-empty — it is where every v1 frame lands. The registry's
+  /// bulkheads use OverflowPolicy::kReject (enforced by ModelRegistry), so
+  /// admission never stalls the event loop — the wire's backpressure is the
+  /// typed refusal.
   [[nodiscard]] static Result<std::unique_ptr<SocketServer>> Create(
       ModelRegistry* registry, SocketServerOptions options);
 
@@ -159,8 +147,8 @@ class SocketServer {
   uint16_t port() const { return port_; }
 
   /// Graceful drain: stop accepting, finish or refuse everything in flight
-  /// (bounded by drain_deadline), close all connections, join the threads.
-  /// Requires the front-end to be completing requests (dispatcher mode, or
+  /// (bounded by drain_deadline), close all connections, join the loop.
+  /// Requires the registry to be completing requests (dispatcher mode, or
   /// an owner pumping manually) — otherwise in-flight answers are abandoned
   /// at the drain deadline and counted dropped. Idempotent.
   void Shutdown();
@@ -168,44 +156,23 @@ class SocketServer {
   WireStats stats() const;
 
  private:
-  SocketServer(ServingFrontEnd* front_end, ModelRegistry* registry,
-               SocketServerOptions options, Fd listener, Fd wake_read,
-               Fd wake_write, uint16_t port);
+  struct Outbox;
 
-  /// Shared tail of both Create overloads (option validation, bind, spawn).
-  [[nodiscard]] static Result<std::unique_ptr<SocketServer>> CreateImpl(
-      ServingFrontEnd* front_end, ModelRegistry* registry,
-      SocketServerOptions options);
+  SocketServer(ModelRegistry* registry, SocketServerOptions options,
+               Fd listener, Fd wake_read, Fd wake_write, uint16_t port);
 
-  struct PendingResponse {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    uint8_t version = kWireVersion;  ///< answer stamped like the request
-    std::future<Result<PredictResult>> future;
-  };
-  struct CompletedResponse {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    uint8_t version = kWireVersion;
-    Result<PredictResult> result;
-  };
-
-  void EventLoop() TREEWM_EXCLUDES(pending_mutex_, completed_mutex_);
-  void CollectorLoop() TREEWM_EXCLUDES(pending_mutex_, completed_mutex_);
+  void EventLoop();
 
   // --- loop-thread-only helpers (conns_ is externally synchronized by the
   // --- single loop driver; see class comment) ---
   void AcceptRound();
-  void HandleFrame(Connection* conn, Frame frame)
-      TREEWM_EXCLUDES(pending_mutex_);
-  void ApplyCompletions() TREEWM_EXCLUDES(completed_mutex_);
+  void HandleFrame(Connection* conn, Frame frame);
+  void ApplyCompletions();
   void SendErrorFrame(Connection* conn, uint64_t request_id,
                       const Status& status, uint8_t version = kWireVersion);
   void HandleModelsRequest(Connection* conn, const Frame& frame);
   void EraseConnection(uint64_t id);
 
-  /// Exactly one of front_end_/registry_ is set (the other is nullptr).
-  ServingFrontEnd* front_end_;
   ModelRegistry* registry_;
   SocketServerOptions options_;
   Clock* clock_;
@@ -213,7 +180,9 @@ class SocketServer {
 
   Fd listener_;        // loop thread closes it when draining begins
   Fd wake_read_;
-  Fd wake_write_;
+
+  /// Shared with every in-flight completion callback (see Outbox).
+  std::shared_ptr<Outbox> outbox_;
 
   /// Loop-thread-only (single driver — never touched off the event loop).
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
@@ -221,21 +190,9 @@ class SocketServer {
   std::chrono::nanoseconds drain_deadline_at_{kNoDeadline};
 
   std::unique_ptr<ThreadPool> loop_pool_;
-  std::unique_ptr<ThreadPool> collector_pool_;
 
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> shutdown_started_{false};
-  /// Collector: stop waiting on unresolved futures and count them dropped
-  /// (set once the loop has exited — answers are undeliverable by then).
-  std::atomic<bool> abandon_completions_{false};
-
-  mutable Mutex pending_mutex_;
-  CondVar pending_ready_;
-  std::deque<PendingResponse> pending_ TREEWM_GUARDED_BY(pending_mutex_);
-  bool collector_stop_ TREEWM_GUARDED_BY(pending_mutex_) = false;
-
-  mutable Mutex completed_mutex_;
-  std::deque<CompletedResponse> completed_ TREEWM_GUARDED_BY(completed_mutex_);
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_shed_{0};

@@ -605,7 +605,7 @@ JsonValue DecisionTree::ToJson() const {
     JsonValue node = JsonValue::MakeObject();
     node.Set("f", JsonValue(n.feature));
     if (n.feature != -1) {
-      node.Set("t", JsonValue(static_cast<double>(n.threshold)));
+      node.Set("t", JsonValue::FromFloat(n.threshold));
       node.Set("l", JsonValue(n.left));
       node.Set("r", JsonValue(n.right));
     }
@@ -632,17 +632,12 @@ Result<DecisionTree> DecisionTree::FromJson(const JsonValue& json) {
   for (const JsonValue& node_json : nodes_json->AsArray()) {
     if (!node_json.is_object()) return Status::ParseError("node must be an object");
     TreeNode n;
-    TREEWM_ASSIGN_OR_RETURN(int64_t feature, node_json.GetInt64("f"));
-    n.feature = static_cast<int>(feature);
-    TREEWM_ASSIGN_OR_RETURN(int64_t label, node_json.GetInt64("y"));
-    n.label = static_cast<int>(label);
+    TREEWM_ASSIGN_OR_RETURN(n.feature, node_json.GetInt("f"));
+    TREEWM_ASSIGN_OR_RETURN(n.label, node_json.GetInt("y"));
     if (n.feature != -1) {
-      TREEWM_ASSIGN_OR_RETURN(double threshold, node_json.GetDouble("t"));
-      TREEWM_ASSIGN_OR_RETURN(int64_t left, node_json.GetInt64("l"));
-      TREEWM_ASSIGN_OR_RETURN(int64_t right, node_json.GetInt64("r"));
-      n.threshold = static_cast<float>(threshold);
-      n.left = static_cast<int>(left);
-      n.right = static_cast<int>(right);
+      TREEWM_ASSIGN_OR_RETURN(n.threshold, node_json.GetFloat("t"));
+      TREEWM_ASSIGN_OR_RETURN(n.left, node_json.GetInt("l"));
+      TREEWM_ASSIGN_OR_RETURN(n.right, node_json.GetInt("r"));
     }
     nodes.push_back(n);
   }
@@ -652,8 +647,13 @@ Result<DecisionTree> DecisionTree::FromJson(const JsonValue& json) {
   if (json.Find("feature_subset") != nullptr) {
     TREEWM_ASSIGN_OR_RETURN(const JsonValue* subset, json.GetArray("feature_subset"));
     for (const JsonValue& f : subset->AsArray()) {
-      TREEWM_ASSIGN_OR_RETURN(int64_t index, f.ToInt64());
-      tree.feature_subset_.push_back(static_cast<int>(index));
+      TREEWM_ASSIGN_OR_RETURN(const int index, f.ToInt());
+      if (index < 0 || index >= num_features) {
+        return Status::ParseError(
+            StrFormat("feature_subset entry %d outside [0, %lld)", index,
+                      static_cast<long long>(num_features)));
+      }
+      tree.feature_subset_.push_back(index);
     }
   }
   return tree;

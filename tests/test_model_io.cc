@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
+#include "common/rng.h"
 #include "core/watermark.h"
 #include "data/synthetic.h"
+#include "tree/decision_tree.h"
 
 namespace treewm::io {
 namespace {
@@ -188,6 +192,114 @@ TEST(DatasetJsonTest, RejectsCorruptNumbers) {
       R"({"num_features": 1, "rows": [["x"]], "labels": [1]})");
   ASSERT_TRUE(doc.ok());
   EXPECT_FALSE(DatasetFromJson(doc.value()).ok());
+}
+
+/// One column with -inf at the low end and +inf at the top: the trained
+/// tree splits between -inf and 1, so its root threshold is -inf.
+data::Dataset InfColumnData() {
+  const float inf = std::numeric_limits<float>::infinity();
+  data::Dataset data(1);
+  const float xs[] = {-inf, -inf, 1.0f, 2.0f, inf};
+  const int ys[] = {-1, -1, +1, +1, +1};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(data.AddRow(std::span<const float>(&xs[i], 1), ys[i]).ok());
+  }
+  return data;
+}
+
+TEST(InfJsonTest, InfThresholdsAndCellsRoundTripExactly) {
+  const data::Dataset data = InfColumnData();
+  auto tree = tree::DecisionTree::Fit(data, {}, tree::TreeConfig{});
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const std::string text = tree.value().ToJson().Dump();
+  ASSERT_NE(text.find(R"("t":"-inf")"), std::string::npos) << text;
+  auto doc = JsonValue::Parse(text);  // valid JSON: no bare inf, no null
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto tree_back = tree::DecisionTree::FromJson(doc.value());
+  ASSERT_TRUE(tree_back.ok()) << tree_back.status().ToString();
+  EXPECT_TRUE(tree_back.value().StructurallyEqual(tree.value()));
+  for (size_t i = 0; i < data.num_rows(); ++i) {
+    EXPECT_EQ(tree_back.value().Predict(data.Row(i)),
+              tree.value().Predict(data.Row(i)));
+  }
+
+  // The bundle carries the ±inf cells in its trigger set as well.
+  forest::ForestConfig config;
+  config.num_trees = 3;
+  config.seed = 4;
+  auto forest = forest::RandomForest::Fit(data, {}, config).MoveValue();
+  Rng rng(4);
+  const WatermarkBundle bundle{forest, core::Signature::Random(3, 0.5, &rng),
+                               data};
+  auto bundle_doc = JsonValue::Parse(BundleToJson(bundle).Dump());
+  ASSERT_TRUE(bundle_doc.ok()) << bundle_doc.status().ToString();
+  auto loaded = BundleFromJson(bundle_doc.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().model.num_trees(), forest.num_trees());
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    EXPECT_TRUE(loaded.value().model.trees()[t].StructurallyEqual(forest.trees()[t]));
+  }
+  const data::Dataset& trigger = loaded.value().trigger_set;
+  ASSERT_EQ(trigger.num_rows(), data.num_rows());
+  for (size_t i = 0; i < data.num_rows(); ++i) {
+    EXPECT_EQ(trigger.At(i, 0), data.At(i, 0)) << "row " << i;  // ±inf exact
+    EXPECT_EQ(trigger.Label(i), data.Label(i));
+    EXPECT_EQ(loaded.value().model.PredictAll(trigger.Row(i)),
+              forest.PredictAll(data.Row(i)));
+  }
+}
+
+TEST(TreeJsonTest, OutOfRangeFieldsFailClosed) {
+  // Control: the same shapes with in-range values load.
+  auto control = JsonValue::Parse(
+      R"({"num_features":1,"feature_subset":[0],"nodes":[)"
+      R"({"f":0,"t":0.5,"l":1,"r":2,"y":1},{"f":-1,"y":-1},{"f":-1,"y":1}]})");
+  ASSERT_TRUE(control.ok());
+  ASSERT_TRUE(tree::DecisionTree::FromJson(control.value()).ok());
+
+  // Each would load as a different, valid-looking tree if narrowed unchecked.
+  const char* kTrees[] = {
+      // f wraps to -1: a leaf.
+      R"({"num_features":1,"nodes":[{"f":4294967295,"y":1}]})",
+      // l wraps to 1.
+      R"({"num_features":1,"nodes":[{"f":0,"t":0.5,"l":4294967297,"r":2,"y":1},)"
+      R"({"f":-1,"y":-1},{"f":-1,"y":1}]})",
+      // y wraps to 1.
+      R"({"num_features":1,"nodes":[{"f":-1,"y":4294967297}]})",
+      // f rounds to -1: a leaf.
+      R"({"num_features":1,"nodes":[{"f":-0.6,"y":1}]})",
+      // A finite threshold past float range would become +inf.
+      R"({"num_features":1,"nodes":[{"f":0,"t":1e300,"l":1,"r":2,"y":1},)"
+      R"({"f":-1,"y":-1},{"f":-1,"y":1}]})",
+      // Only "inf"/"-inf" strings are thresholds.
+      R"({"num_features":1,"nodes":[{"f":0,"t":"nan","l":1,"r":2,"y":1},)"
+      R"({"f":-1,"y":-1},{"f":-1,"y":1}]})",
+      // feature_subset entries outside [0, num_features), or past int.
+      R"({"num_features":1,"feature_subset":[1],"nodes":[{"f":-1,"y":1}]})",
+      R"({"num_features":1,"feature_subset":[-1],"nodes":[{"f":-1,"y":1}]})",
+      R"({"num_features":1,"feature_subset":[4294967296],"nodes":[{"f":-1,"y":1}]})",
+  };
+  for (const char* text : kTrees) {
+    auto doc = JsonValue::Parse(text);
+    ASSERT_TRUE(doc.ok()) << text;
+    auto tree = tree::DecisionTree::FromJson(doc.value());
+    ASSERT_FALSE(tree.ok()) << text;
+    EXPECT_EQ(tree.status().code(), StatusCode::kParseError) << text;
+  }
+
+  // Dataset labels and cells narrow the same way.
+  const char* kDatasets[] = {
+      R"({"num_features":1,"rows":[[0.5]],"labels":[4294967297]})",
+      R"({"num_features":1,"rows":[[0.5]],"labels":[0.7]})",
+      R"({"num_features":1,"rows":[[1e300]],"labels":[1]})",
+  };
+  for (const char* text : kDatasets) {
+    auto doc = JsonValue::Parse(text);
+    ASSERT_TRUE(doc.ok()) << text;
+    auto dataset = DatasetFromJson(doc.value());
+    ASSERT_FALSE(dataset.ok()) << text;
+    EXPECT_EQ(dataset.status().code(), StatusCode::kParseError) << text;
+  }
 }
 
 TEST(ForestIoTest, MissingFileIsIoError) {

@@ -34,7 +34,7 @@ QueuedRequest MakeRequest(uint64_t id,
   r.id = id;
   r.admitted_at = admitted_at;
   r.deadline = deadline;
-  r.promise = std::make_shared<std::promise<Result<PredictResult>>>();
+  r.done = [](Result<PredictResult>) {};
   return r;
 }
 

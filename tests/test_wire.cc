@@ -1,7 +1,8 @@
 // Tests for the socket wire layer: fail-closed framing (every-prefix
 // truncation + byte-flip fuzz), loopback integration against a real
-// ServingFrontEnd (keep-alive, deadlines, mid-frame disconnects, accept
-// shedding, idle timeout, graceful drain), and the acceptance matrix —
+// one-model ModelRegistry (keep-alive, deadlines, mid-frame disconnects,
+// accept shedding, idle timeout, graceful drain), bulkhead isolation and
+// late completions through one server, and the acceptance matrix —
 // completed wire responses bit-identical to the in-process front-end
 // across connection counts × fault schedules, with exactly-once accounting.
 
@@ -65,6 +66,34 @@ std::unique_ptr<ServingFrontEnd> MakeFrontEnd(
   options.batch.max_batch_delay = microseconds(100);
   options.start_dispatcher = start_dispatcher;
   return ServingFrontEnd::Create(std::move(flat), options).MoveValue();
+}
+
+/// The model a one-model registry serves; the server's default model.
+constexpr char kModel[] = "model";
+
+ModelRegistryOptions RegistryOptions(bool start_dispatcher = true) {
+  ModelRegistryOptions options;
+  options.serving.queue.capacity = 256;
+  options.serving.queue.shed_high_water = 224;
+  options.serving.batch.max_batch_rows = 16;
+  options.serving.batch.max_batch_delay = microseconds(100);
+  options.serving.start_dispatcher = start_dispatcher;
+  return options;
+}
+
+/// A registry serving `flat` alone, under kModel.
+std::unique_ptr<ModelRegistry> MakeOneModelRegistry(
+    std::shared_ptr<const predict::FlatEnsemble> flat,
+    bool start_dispatcher = true) {
+  auto registry = ModelRegistry::Create(RegistryOptions(start_dispatcher)).MoveValue();
+  const Status loaded = registry->Load(kModel, std::move(flat));
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  return registry;
+}
+
+SocketServerOptions OneModelServerOptions(SocketServerOptions options = {}) {
+  options.default_model = kModel;
+  return options;
 }
 
 PredictRequestMsg SampleRequest(uint64_t id = 7) {
@@ -403,8 +432,9 @@ class WireLoopbackTest : public ::testing::Test {
   void StartServer(SocketServerOptions options = {},
                    bool start_dispatcher = true) {
     forest_ = std::make_unique<forest::RandomForest>(TrainForest(5));
-    front_end_ = MakeFrontEnd(FlatOf(*forest_), start_dispatcher);
-    auto server = SocketServer::Create(front_end_.get(), options);
+    registry_ = MakeOneModelRegistry(FlatOf(*forest_), start_dispatcher);
+    auto server =
+        SocketServer::Create(registry_.get(), OneModelServerOptions(options));
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).MoveValue();
   }
@@ -417,7 +447,7 @@ class WireLoopbackTest : public ::testing::Test {
   }
 
   std::vector<float> Probe(uint64_t salt) const {
-    std::vector<float> x(front_end_->num_features());
+    std::vector<float> x(forest_->num_features());
     Rng rng(salt);
     for (auto& v : x) {
       v = static_cast<float>(rng.UniformRealRange(-2.0, 2.0));
@@ -427,7 +457,7 @@ class WireLoopbackTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_ != nullptr) server_->Shutdown();
-    if (front_end_ != nullptr) front_end_->Shutdown();
+    if (registry_ != nullptr) registry_->Shutdown();
     if (server_ != nullptr) {
       // Exactly-once accounting must close after drain (models-list
       // requests are answered through the same books).
@@ -441,7 +471,7 @@ class WireLoopbackTest : public ::testing::Test {
   }
 
   std::unique_ptr<forest::RandomForest> forest_;
-  std::unique_ptr<ServingFrontEnd> front_end_;
+  std::unique_ptr<ModelRegistry> registry_;
   std::unique_ptr<SocketServer> server_;
 };
 
@@ -452,7 +482,7 @@ TEST_F(WireLoopbackTest, PredictMatchesInProcessBitForBit) {
     const std::vector<float> x = Probe(i);
     auto wire_result = client.Predict(x);
     ASSERT_TRUE(wire_result.ok()) << wire_result.status().ToString();
-    auto local_result = front_end_->Predict(x);
+    auto local_result = registry_->Predict(kModel, x);
     ASSERT_TRUE(local_result.ok());
     EXPECT_EQ(wire_result.value().label, local_result.value().label);
     EXPECT_EQ(wire_result.value().votes, local_result.value().votes);
@@ -471,7 +501,7 @@ TEST_F(WireLoopbackTest, PredictMatchesInProcessBitForBit) {
     }
     auto wire_result = client.Predict(x);
     ASSERT_TRUE(wire_result.ok()) << wire_result.status().ToString();
-    auto local_result = front_end_->Predict(x);
+    auto local_result = registry_->Predict(kModel, x);
     ASSERT_TRUE(local_result.ok());
     EXPECT_EQ(wire_result.value().label, local_result.value().label);
     EXPECT_EQ(wire_result.value().votes, local_result.value().votes);
@@ -584,7 +614,7 @@ TEST_F(WireLoopbackTest, AcceptShedOverHighWaterIsTypedRefusal) {
 TEST_F(WireLoopbackTest, InFlightCapRefusesOverrunKeepsConnection) {
   SocketServerOptions options;
   options.max_in_flight_per_connection = 2;
-  // Manual-mode front-end: requests park until the test pumps, so the
+  // Manual-mode registry: requests park until the test pumps, so the
   // pipelined overrun deterministically hits the cap.
   StartServer(options, /*start_dispatcher=*/false);
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
@@ -609,13 +639,15 @@ TEST_F(WireLoopbackTest, InFlightCapRefusesOverrunKeepsConnection) {
   EXPECT_EQ(refusal.value().request_id, 3u);
   EXPECT_EQ(refusal.value().ToStatus().code(), StatusCode::kResourceExhausted);
 
-  // Pump the front-end; the two admitted requests complete and the
+  // Pump the model; the two admitted requests complete and the
   // connection — never closed — carries their responses back in order.
   std::atomic<bool> stop_pumping{false};
   ThreadPool pump_pool(1);
   ASSERT_TRUE(pump_pool.Submit([&] {
     while (!stop_pumping.load(std::memory_order_acquire)) {
-      front_end_->Pump(/*force_flush=*/true);
+      // discard ok: the model is loaded for the whole test; replies are
+      // checked on the wire below
+      (void)registry_->Pump(kModel, /*force_flush=*/true);
       std::this_thread::yield();
     }
   }).ok());
@@ -690,10 +722,11 @@ TEST_F(WireLoopbackTest, DrainRefusesLateRequestsAndClosesEverything) {
 TEST_F(WireLoopbackTest, DrainDeadlineAbandonsWedgedFrontEndExactlyOnce) {
   SocketServerOptions options;
   options.drain_deadline = milliseconds(100);
-  // Manual mode and nobody pumps: submitted requests can never complete, so
-  // drain MUST hit its deadline, drop the answers, and still balance the
-  // books — this is the "every accepted request answered or refused exactly
-  // once" property under the worst case.
+  // Manual mode and nobody pumps: submitted requests can never complete
+  // while the server drains, so drain MUST hit its deadline, drop the
+  // answers, and still balance the books — this is the "every accepted
+  // request answered or refused exactly once" property under the worst
+  // case.
   StartServer(options, /*start_dispatcher=*/false);
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
   ASSERT_TRUE(raw.ok());
@@ -716,9 +749,10 @@ TEST_F(WireLoopbackTest, DrainDeadlineAbandonsWedgedFrontEndExactlyOnce) {
   EXPECT_EQ(stats.requests_received, 4u);
   EXPECT_EQ(stats.responses_sent, 0u);
   EXPECT_EQ(stats.responses_dropped, 4u);
-  // Manual front-end still owes its promises; complete them so its own
-  // drain accounting stays clean.
-  front_end_->Shutdown();
+  // The manual registry still owes its completions; they land on the
+  // closed outbox and change nothing — still counted once.
+  registry_->Shutdown();
+  EXPECT_EQ(server_->stats().responses_dropped, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,26 +1079,123 @@ TEST_F(WireRegistryLoopbackTest, ClientRefusesOversizeModelIdBeforeDialing) {
   EXPECT_FALSE(client.connected());  // refused before any bytes moved
 }
 
-TEST_F(WireLoopbackTest, SingleModelServerRefusesV2AddressingTyped) {
-  StartServer();
-  // A model id on a single-model server is NEVER silently served by the
-  // one model that happens to be loaded — that could be a different model
-  // than the client named.
-  SocketClientOptions options;
-  options.port = server_->port();
-  options.model_id = "alpha";
-  SocketClient addressed(options);
-  auto refused = addressed.Predict(Probe(7));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(addressed.Ping().ok());  // connection kept
+// ---------------------------------------------------------------------------
+// Completion path: bulkhead isolation and late completions through one server
 
-  SocketClient plain = MakeClient();
-  auto models = plain.ListModels();
-  ASSERT_FALSE(models.ok());
-  EXPECT_EQ(models.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(plain.Predict(Probe(8)).ok());  // connection kept here too
-  EXPECT_EQ(server_->stats().models_requests, 1u);
+/// Spins (yielding) until `done()` holds or 5 s of wall time pass.
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Admitted count of one model's live front-end.
+uint64_t Admitted(const ModelRegistry& registry, const std::string& id) {
+  auto info = registry.Info(id);
+  return info.ok() ? info.value().serving.admitted : 0;
+}
+
+std::vector<uint8_t> V2Request(uint64_t id, const std::string& model,
+                               uint64_t salt) {
+  PredictRequestMsg msg;
+  msg.request_id = id;
+  msg.model_id = model;
+  msg.features.resize(6);  // TrainForest default feature count
+  Rng rng(salt);
+  for (auto& v : msg.features) {
+    v = static_cast<float>(rng.UniformRealRange(-2.0, 2.0));
+  }
+  return EncodePredictRequest(msg, kWireVersionMultiModel);
+}
+
+TEST(WireCompletionTest, ColdAnswerIsNotHeldBehindAParkedHotModel) {
+  // Manual mode: a model answers only when the test pumps it, so "hot" is
+  // parked for as long as the test wants.
+  auto registry =
+      ModelRegistry::Create(RegistryOptions(/*start_dispatcher=*/false)).MoveValue();
+  ASSERT_TRUE(registry->Load("hot", FlatOf(TrainForest(31))).ok());
+  ASSERT_TRUE(registry->Load("cold", FlatOf(TrainForest(32, /*num_trees=*/5))).ok());
+  SocketServerOptions options;
+  options.default_model = "hot";
+  auto server = SocketServer::Create(registry.get(), options).MoveValue();
+
+  // One connection: hot's request first, then cold's.
+  auto raw = ConnectTcpLoopback(server->port(), std::chrono::seconds(5));
+  ASSERT_TRUE(raw.ok());
+  std::vector<uint8_t> pipelined = V2Request(1, "hot", 1);
+  const std::vector<uint8_t> cold_frame = V2Request(2, "cold", 2);
+  pipelined.insert(pipelined.end(), cold_frame.begin(), cold_frame.end());
+  RawWriteAll(raw.value(), pipelined);
+  ASSERT_TRUE(SpinUntil([&] {
+    return Admitted(*registry, "hot") == 1 && Admitted(*registry, "cold") == 1;
+  }));
+
+  // Only cold is pumped. Its answer must come back within the recv timeout
+  // even though hot's request, submitted first, is still unanswered.
+  ASSERT_EQ(registry->Pump("cold", /*force_flush=*/true).value(), 1u);
+  FrameDecoder decoder;
+  std::optional<Frame> reply = RawReadFrame(raw.value(), &decoder);
+  ASSERT_TRUE(reply.has_value()) << "cold answer held behind the parked hot model";
+  ASSERT_EQ(reply->type, FrameType::kPredictResponse);
+  auto cold = DecodePredictResponse(reply->body);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.value().request_id, 2u);
+  EXPECT_EQ(cold.value().votes.size(), 5u);
+
+  // Now hot; its answer follows on the same connection.
+  ASSERT_EQ(registry->Pump("hot", /*force_flush=*/true).value(), 1u);
+  reply = RawReadFrame(raw.value(), &decoder);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kPredictResponse);
+  auto hot = DecodePredictResponse(reply->body);
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot.value().request_id, 1u);
+
+  server->Shutdown();
+  registry->Shutdown();
+  const WireStats stats = server->stats();
+  EXPECT_EQ(stats.requests_received, 2u);
+  EXPECT_EQ(stats.responses_sent, 2u);
+  EXPECT_EQ(stats.refusals_sent + stats.responses_dropped, 0u);
+  const RegistryStats books = registry->stats();
+  EXPECT_EQ(books.submitted, 2u);
+  EXPECT_EQ(books.serving.completed_ok, 2u);
+}
+
+TEST(WireCompletionTest, CompletionsAfterTheServerIsDestroyedAreNoOps) {
+  // Parked requests outlive the server that took them: the registry fires
+  // their callbacks only after the server is gone. The callbacks must touch
+  // nothing the server owned (the ASan job checks), and the server must
+  // have counted them dropped exactly once.
+  constexpr uint64_t kParked = 3;
+  auto registry =
+      MakeOneModelRegistry(FlatOf(TrainForest(33)), /*start_dispatcher=*/false);
+  SocketServerOptions options = OneModelServerOptions();
+  options.drain_deadline = milliseconds(50);
+  auto server = SocketServer::Create(registry.get(), options).MoveValue();
+  auto raw = ConnectTcpLoopback(server->port(), std::chrono::seconds(5));
+  ASSERT_TRUE(raw.ok());
+  std::vector<uint8_t> pipelined;
+  for (uint64_t id = 1; id <= kParked; ++id) {
+    const std::vector<uint8_t> frame = V2Request(id, kModel, id);
+    pipelined.insert(pipelined.end(), frame.begin(), frame.end());
+  }
+  RawWriteAll(raw.value(), pipelined);
+  ASSERT_TRUE(SpinUntil([&] { return Admitted(*registry, kModel) == kParked; }));
+
+  server->Shutdown();
+  const WireStats stats = server->stats();
+  EXPECT_EQ(stats.requests_received, kParked);
+  EXPECT_EQ(stats.responses_sent + stats.refusals_sent, 0u);
+  EXPECT_EQ(stats.responses_dropped, kParked);
+  server.reset();
+
+  registry->Shutdown();  // drains: the parked callbacks fire now
+  EXPECT_EQ(registry->stats().serving.completed_ok, kParked);
 }
 
 // ---------------------------------------------------------------------------
@@ -1114,8 +1245,9 @@ TEST(WireDeterminismMatrixTest, CompletedResponsesBitIdenticalUnderFaults) {
     for (const size_t num_connections : kConnections) {
       SCOPED_TRACE(std::string("schedule=") + schedule.name +
                    " connections=" + std::to_string(num_connections));
-      auto front_end = MakeFrontEnd(flat);
-      auto server = SocketServer::Create(front_end.get(), {});
+      auto registry = MakeOneModelRegistry(flat);
+      auto server =
+          SocketServer::Create(registry.get(), OneModelServerOptions());
       ASSERT_TRUE(server.ok());
 
       std::optional<ScopedFault> fault;
@@ -1162,7 +1294,7 @@ TEST(WireDeterminismMatrixTest, CompletedResponsesBitIdenticalUnderFaults) {
 
       server.value()->Shutdown();
       const WireStats stats = server.value()->stats();
-      front_end->Shutdown();
+      registry->Shutdown();
 
       // The wire may change WHICH requests complete — never their value.
       EXPECT_EQ(mismatched.load(), 0u);
