@@ -475,7 +475,12 @@ BENCHMARK(BM_WireOpenLoopOverload)
     ->Args({400, 4})    // deep overload through the socket: the wire gate
     ->Args({400, 16})
     ->Unit(benchmark::kMillisecond)
+    // One open-loop run per repetition; a single run's p50/shed swings too
+    // far between runs to judge the gate, so rows report only the
+    // aggregates (mean, median, stddev, cv).
     ->Iterations(1)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly()
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

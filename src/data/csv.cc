@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/json.h"
@@ -43,14 +44,23 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
                                             fields[i].c_str()));
       }
       if (i == label_col) {
-        int y = static_cast<int>(std::llround(value));
-        if (y == 0) y = kNegative;  // 0/1 convention
-        if (y != kPositive && y != kNegative) {
-          return Status::ParseError(StrFormat("line %zu: label %d not in {+1,-1,0,1}",
-                                              line_no, y));
+        // Exact values only: a fractional or huge label is an error, not
+        // something to round (0 is the 0/1 convention's negative class).
+        if (value == 1.0) {
+          label = kPositive;
+        } else if (value == 0.0 || value == -1.0) {
+          label = kNegative;
+        } else {
+          return Status::ParseError(StrFormat("line %zu: label '%s' not in {+1,-1,0,1}",
+                                              line_no, fields[i].c_str()));
         }
-        label = y;
       } else {
+        // A finite cell past float range would silently narrow to ±inf;
+        // literal inf/-inf cells (and NaN, rejected at training) pass.
+        if (std::isfinite(value) && std::fabs(value) > std::numeric_limits<float>::max()) {
+          return Status::ParseError(StrFormat("line %zu: number '%s' out of float range",
+                                              line_no, fields[i].c_str()));
+        }
         row.push_back(static_cast<float>(value));
       }
     }

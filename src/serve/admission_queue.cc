@@ -69,27 +69,7 @@ Status AdmissionQueue::Push(QueuedRequest&& item) {
   return Status::OK();
 }
 
-bool AdmissionQueue::PopLocked(QueuedRequest* out) {
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  ++stats_.popped;
-  return true;
-}
-
-bool AdmissionQueue::Pop(QueuedRequest* out) {
-  bool popped = false;
-  {
-    MutexLock lock(&mutex_);
-    while (!shutting_down_ && items_.empty()) item_ready_.Wait(lock);
-    popped = PopLocked(out);
-  }
-  if (popped) space_ready_.NotifyOne();
-  return popped;
-}
-
 bool AdmissionQueue::PopUntil(QueuedRequest* out, std::chrono::nanoseconds until) {
-  bool popped = false;
   {
     MutexLock lock(&mutex_);
     while (items_.empty() && !shutting_down_) {
@@ -102,19 +82,27 @@ bool AdmissionQueue::PopUntil(QueuedRequest* out, std::chrono::nanoseconds until
       // discard ok: timeout vs notify is re-derived from the loop condition
       (void)item_ready_.WaitFor(lock, until - now);
     }
-    popped = PopLocked(out);
+    if (items_.empty()) return false;  // shut down and drained
+    *out = std::move(items_.front());
+    items_.pop_front();
+    ++stats_.popped;
   }
-  if (popped) space_ready_.NotifyOne();
-  return popped;
+  space_ready_.NotifyOne();
+  return true;
 }
 
-bool AdmissionQueue::TryPop(QueuedRequest* out) {
-  bool popped = false;
+size_t AdmissionQueue::TryPopUpTo(size_t limit, std::vector<QueuedRequest>* out) {
+  size_t popped = 0;
   {
     MutexLock lock(&mutex_);
-    popped = PopLocked(out);
+    for (; popped < limit && !items_.empty(); ++popped) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    stats_.popped += popped;
   }
-  if (popped) space_ready_.NotifyOne();
+  // One wake per freed slot: each blocked producer needs exactly one.
+  for (size_t i = 0; i < popped; ++i) space_ready_.NotifyOne();
   return popped;
 }
 

@@ -14,10 +14,10 @@
 // bounded under sustained overload instead of serving every request late
 // (the classic full-queue collapse).
 //
-// Blocking operations (kBlockWithDeadline pushes, Pop waits) measure time
+// Blocking operations (kBlockWithDeadline pushes, PopUntil waits) measure time
 // on the injected Clock but park on real condition variables — use them
 // with the SystemClock. Deadline arithmetic alone (expiry checks) is what
-// FakeClock-driven unit tests exercise via TryPop/non-blocking paths.
+// FakeClock-driven unit tests exercise via TryPopUpTo/non-blocking paths.
 
 #ifndef TREEWM_SERVE_ADMISSION_QUEUE_H_
 #define TREEWM_SERVE_ADMISSION_QUEUE_H_
@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/clock.h"
@@ -80,20 +81,20 @@ class AdmissionQueue {
   /// instantaneous full queue regardless of actual depth.
   [[nodiscard]] Status Push(QueuedRequest&& item) TREEWM_EXCLUDES(mutex_);
 
-  /// Pops the oldest request, blocking until one is available or the queue
-  /// is shut down AND drained (returns false — the consumer can stop).
-  bool Pop(QueuedRequest* out) TREEWM_EXCLUDES(mutex_);
-
-  /// Like Pop but gives up (returns false) once the clock passes `until`.
-  /// A false return means timeout OR shutdown-and-drained; check
-  /// IsShutdown()/depth() to distinguish.
+  /// Pops the oldest request, blocking until one is available, the queue is
+  /// shut down AND drained, or the clock passes `until` (kNoDeadline = no
+  /// time limit). A false return means timeout OR shutdown-and-drained;
+  /// check IsShutdown()/depth() to distinguish.
   bool PopUntil(QueuedRequest* out, std::chrono::nanoseconds until)
       TREEWM_EXCLUDES(mutex_);
 
-  /// Non-blocking Pop.
-  bool TryPop(QueuedRequest* out) TREEWM_EXCLUDES(mutex_);
+  /// Non-blocking batch pop: appends up to `limit` of the oldest requests to
+  /// *out in FIFO order under one lock, and wakes one blocked producer per
+  /// slot it frees. Returns how many it moved (0 when empty).
+  size_t TryPopUpTo(size_t limit, std::vector<QueuedRequest>* out)
+      TREEWM_EXCLUDES(mutex_);
 
-  /// Closes admission. Queued requests remain poppable; once empty, Pop
+  /// Closes admission. Queued requests remain poppable; once empty, PopUntil
   /// returns false. Idempotent.
   void Shutdown() TREEWM_EXCLUDES(mutex_);
 
@@ -105,10 +106,6 @@ class AdmissionQueue {
   AdmissionQueueStats stats() const TREEWM_EXCLUDES(mutex_);
 
  private:
-  /// Pops the FIFO front into *out if non-empty. The caller notifies
-  /// space_ready_ AFTER releasing the lock on a true return.
-  bool PopLocked(QueuedRequest* out) TREEWM_REQUIRES(mutex_);
-
   const AdmissionQueueOptions options_;
   Clock* const clock_;
 

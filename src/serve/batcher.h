@@ -67,9 +67,9 @@ class Batcher {
   std::vector<QueuedRequest> TakeBatch();
 
   /// Graceful-degradation dial: overrides max_batch_delay (typically with 0
-  /// while the admission queue is over its shed threshold, so batches fill
-  /// from the backlog instead of waiting for the clock). nullopt restores
-  /// the configured delay.
+  /// while the admission queue is over its shed threshold, so a partial
+  /// batch leaves without waiting for the clock). nullopt restores the
+  /// configured delay.
   void set_delay_override(std::optional<std::chrono::nanoseconds> delay) {
     delay_override_ = delay;
   }

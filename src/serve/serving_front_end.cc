@@ -193,31 +193,45 @@ size_t ServingFrontEnd::FlushBatchLocked() {
   return answered;
 }
 
+size_t ServingFrontEnd::FillAndFlushLocked(bool force_flush) {
+  const size_t max_rows = batcher_.options().max_batch_rows;
+  std::vector<QueuedRequest> arrivals;
+  size_t answered = 0;
+  while (true) {
+    UpdateDegradationLocked();
+    // Fill before judging: under a backlog every queued request is already
+    // past the delay, so a batch judged on one arrival would leave alone.
+    if (batcher_.pending() < max_rows) {
+      arrivals.clear();
+      queue_.TryPopUpTo(max_rows - batcher_.pending(), &arrivals);
+      for (QueuedRequest& request : arrivals) batcher_.Add(std::move(request));
+    }
+    const bool due = force_flush ? !batcher_.empty()
+                                 : batcher_.ShouldFlush(clock_->Now());
+    if (!due) return answered;
+    answered += FlushBatchLocked();
+  }
+}
+
 void ServingFrontEnd::DispatcherLoop() {
+  QueuedRequest arrival;
+  bool arrived = false;
   while (true) {
     std::chrono::nanoseconds next_flush;
     {
       MutexLock lock(&dispatch_mutex_);
-      UpdateDegradationLocked();
-      if (batcher_.ShouldFlush(clock_->Now())) {
-        FlushBatchLocked();
-        continue;
-      }
+      if (arrived) batcher_.Add(std::move(arrival));
+      FillAndFlushLocked(/*force_flush=*/false);
       next_flush = batcher_.NextFlushAt();
     }
     // Block on the queue WITHOUT dispatch_mutex_: admission must never wait
     // behind a batch in flight.
-    QueuedRequest request;
-    if (queue_.PopUntil(&request, next_flush)) {
-      MutexLock lock(&dispatch_mutex_);
-      batcher_.Add(std::move(request));
-      continue;
-    }
-    // Woke without an item: either the pending batch came due (handled at
+    arrived = queue_.PopUntil(&arrival, next_flush);
+    // Woke without an item: either the pending batch came due (flushed at
     // the top of the loop) or the queue is shut down and drained.
-    if (queue_.IsShutdown() && queue_.depth() == 0) {
+    if (!arrived && queue_.IsShutdown() && queue_.depth() == 0) {
       MutexLock lock(&dispatch_mutex_);
-      while (!batcher_.empty()) FlushBatchLocked();
+      FillAndFlushLocked(/*force_flush=*/true);
       return;
     }
   }
@@ -234,23 +248,13 @@ void ServingFrontEnd::Shutdown() {
   } else {
     // Manual mode: drain inline so every accepted request is completed.
     MutexLock lock(&dispatch_mutex_);
-    QueuedRequest request;
-    while (queue_.TryPop(&request)) batcher_.Add(std::move(request));
-    while (!batcher_.empty()) FlushBatchLocked();
+    FillAndFlushLocked(/*force_flush=*/true);
   }
 }
 
 size_t ServingFrontEnd::Pump(bool force_flush) {
   MutexLock lock(&dispatch_mutex_);
-  UpdateDegradationLocked();
-  QueuedRequest request;
-  while (queue_.TryPop(&request)) batcher_.Add(std::move(request));
-  size_t answered = 0;
-  while (batcher_.ShouldFlush(clock_->Now())) answered += FlushBatchLocked();
-  if (force_flush) {
-    while (!batcher_.empty()) answered += FlushBatchLocked();
-  }
-  return answered;
+  return FillAndFlushLocked(force_flush);
 }
 
 ServingStats ServingFrontEnd::stats() const {

@@ -10,9 +10,14 @@
 //   * per-request deadlines checked at admission, at dispatch (expired
 //     requests are answered DeadlineExceeded instead of wasting a batch
 //     slot) and at completion;
+//   * backlog batching: before each flush decision the dispatcher fills
+//     the batcher from the queue (up to max_batch_rows), so a backlog
+//     leaves as full batches, not one row at a time;
 //   * load shedding + graceful degradation: past the queue's shed
-//     high-water mark new arrivals are rejected AND the batcher's flush
-//     delay collapses to zero so batches fill from the backlog;
+//     high-water mark new arrivals are rejected, and at degrade_depth the
+//     batcher's flush delay collapses to zero — which changes a decision
+//     only when degrade_depth < max_batch_rows (a deeper queue already
+//     fills a batch to its size trigger);
 //   * drain-on-shutdown: Shutdown() stops admission and answers every
 //     in-flight request before returning — each accepted request's
 //     completion callback runs exactly once.
@@ -53,7 +58,8 @@ struct ServingOptions {
   /// Batch coalescing shape.
   BatcherOptions batch;
   /// Queue depth at which the batcher's flush delay collapses to zero
-  /// (0 = use queue.shed_high_water; both 0 disables degradation).
+  /// (0 = use queue.shed_high_water; both 0 disables degradation). Changes
+  /// a flush decision only when below batch.max_batch_rows.
   size_t degrade_depth = 0;
   /// Tiling/threading for the batched predictor. Thread count only affects
   /// speed, never results.
@@ -120,9 +126,9 @@ class ServingFrontEnd {
   /// is answered), and joins the dispatcher. Idempotent.
   void Shutdown() TREEWM_EXCLUDES(dispatch_mutex_);
 
-  /// Manual-mode pump: moves every currently queued request into the
-  /// batcher and flushes while a batch is due (always flushes a non-empty
-  /// batcher when `force_flush`). Returns the number of requests answered.
+  /// Manual-mode pump: fills the batcher from the queue and flushes while a
+  /// batch is due, refilling after each flush (with `force_flush`, until
+  /// queue and batcher are empty). Returns the number of requests answered.
   /// Only meaningful with start_dispatcher = false.
   size_t Pump(bool force_flush = false) TREEWM_EXCLUDES(dispatch_mutex_);
 
@@ -144,6 +150,11 @@ class ServingFrontEnd {
                              const RequestOptions& options, CompletionFn* done);
 
   void DispatcherLoop() TREEWM_EXCLUDES(dispatch_mutex_);
+  /// The one drive step of the dispatcher, Pump and the shutdown drain:
+  /// moves queued requests into the batcher (up to max_batch_rows pending),
+  /// flushes if a batch is due (any non-empty batch when `force_flush`),
+  /// and repeats until nothing is due. Returns requests answered.
+  size_t FillAndFlushLocked(bool force_flush) TREEWM_REQUIRES(dispatch_mutex_);
   /// Applies the degradation dial from the current queue depth.
   void UpdateDegradationLocked() TREEWM_REQUIRES(dispatch_mutex_);
   /// Dispatches one batch from the batcher: expires stale requests, runs

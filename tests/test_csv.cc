@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
 namespace treewm::data {
 namespace {
@@ -59,6 +61,37 @@ TEST(CsvParseTest, RejectsMalformedInput) {
   CsvOptions options;
   options.label_column = 9;
   EXPECT_FALSE(ParseCsv("0.1,1\n", options).ok());
+}
+
+TEST(CsvParseTest, InexactLabelsAndOutOfRangeCellsFailClosed) {
+  // A fractional or huge label is not rounded into a class, and a finite
+  // cell past float range is not narrowed to ±inf: both name their line.
+  auto ExpectParseErrorAtLine = [](const std::string& text, const std::string& line) {
+    auto result = ParseCsv(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(result.status().message().find(line), std::string::npos)
+        << result.status().ToString();
+  };
+  ExpectParseErrorAtLine("0.5,1e300,0.6\n0.25,2,-0.4\n", "line 1");
+  ExpectParseErrorAtLine("0.5,1e300,1\n", "line 1");
+  ExpectParseErrorAtLine("0.5,-1e39,1\n", "line 1");
+  ExpectParseErrorAtLine("0.5,2,0.6\n", "line 1");
+  ExpectParseErrorAtLine("0.5,2,1\n0.25,2,-0.4\n", "line 2");
+  ExpectParseErrorAtLine("0.5,2,1e300\n", "line 1");
+  ExpectParseErrorAtLine("0.5,2,nan\n", "line 1");
+
+  // In range: float-max cells, literal ±inf cells and exact labels load.
+  auto control = ParseCsv("0.5,3.4e38,1.0\n-inf,inf,-1\n0.25,-3.4e38,0\n");
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  const Dataset& d = control.value();
+  EXPECT_EQ(d.At(0, 1), 3.4e38f);
+  EXPECT_EQ(d.At(1, 0), -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(d.At(1, 1), std::numeric_limits<float>::infinity());
+  EXPECT_EQ(d.At(2, 1), -3.4e38f);
+  EXPECT_EQ(d.Label(0), kPositive);
+  EXPECT_EQ(d.Label(1), kNegative);
+  EXPECT_EQ(d.Label(2), kNegative);
 }
 
 TEST(CsvRoundTripTest, SaveThenLoadPreservesData) {

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -53,6 +54,27 @@ std::shared_ptr<const predict::FlatEnsemble> FlatOf(
       predict::FlatEnsemble::FromClassificationTrees(forest.trees()));
 }
 
+// Pops one request without blocking.
+bool TryPopOne(AdmissionQueue* queue, QueuedRequest* out) {
+  std::vector<QueuedRequest> one;
+  if (queue->TryPopUpTo(1, &one) == 0) return false;
+  *out = std::move(one.front());
+  return true;
+}
+
+// A served answer equals the scalar reference: label and every tree's vote.
+void ExpectMatchesForest(const forest::RandomForest& forest,
+                         std::span<const float> x,
+                         const Result<PredictResult>& result) {
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().label, forest.Predict(x));
+  const std::vector<int> expected_votes = forest.PredictAll(x);
+  ASSERT_EQ(result.value().votes.size(), expected_votes.size());
+  for (size_t t = 0; t < expected_votes.size(); ++t) {
+    EXPECT_EQ(static_cast<int>(result.value().votes[t]), expected_votes[t]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AdmissionQueue
 
@@ -68,10 +90,10 @@ TEST(AdmissionQueueTest, FifoOrderAndStats) {
   EXPECT_EQ(queue.depth(), 3u);
   QueuedRequest out;
   for (uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(TryPopOne(&queue, &out));
     EXPECT_EQ(out.id, id);
   }
-  EXPECT_FALSE(queue.TryPop(&out));
+  EXPECT_FALSE(TryPopOne(&queue, &out));
   const auto stats = queue.stats();
   EXPECT_EQ(stats.pushed, 3u);
   EXPECT_EQ(stats.popped, 3u);
@@ -92,7 +114,7 @@ TEST(AdmissionQueueTest, RejectPolicyFailsFastAtCapacity) {
   EXPECT_EQ(queue.stats().rejected_full, 1u);
   // Space frees -> admission works again.
   QueuedRequest out;
-  ASSERT_TRUE(queue.TryPop(&out));
+  ASSERT_TRUE(TryPopOne(&queue, &out));
   EXPECT_TRUE(queue.Push(MakeRequest(4)).ok());
 }
 
@@ -129,11 +151,11 @@ TEST(AdmissionQueueTest, ShutdownClosesAdmissionButDrains) {
   EXPECT_EQ(queue.stats().rejected_shutdown, 1u);
   // Queued items are still drained in order.
   QueuedRequest out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
   EXPECT_EQ(out.id, 1u);
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
   EXPECT_EQ(out.id, 2u);
-  EXPECT_FALSE(queue.Pop(&out));  // drained: consumer can stop
+  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));  // drained: consumer can stop
 }
 
 TEST(AdmissionQueueTest, BlockingPushTimesOutAtRequestDeadline) {
@@ -163,7 +185,7 @@ TEST(AdmissionQueueTest, BlockingPushUnblocksWhenConsumerFreesSpace) {
   std::thread consumer([&queue] {
     std::this_thread::sleep_for(milliseconds(10));  // lint ok: see above
     QueuedRequest out;
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(TryPopOne(&queue, &out));
   });
   const auto deadline = Clock::System()->Now() + nanoseconds(std::chrono::seconds(10));
   Status st = queue.Push(MakeRequest(2, nanoseconds{0}, deadline));
@@ -192,8 +214,63 @@ TEST(AdmissionQueueTest, PopWakesOnShutdown) {
     queue.Shutdown();
   });
   QueuedRequest out;
-  EXPECT_FALSE(queue.Pop(&out));  // woke without an item: shutdown + drained
+  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));  // woke without an item
   closer.join();
+}
+
+TEST(AdmissionQueueTest, TryPopUpToIsFifoBoundedAndCounted) {
+  FakeClock clock;
+  AdmissionQueueOptions options;
+  options.capacity = 8;
+  options.clock = &clock;
+  AdmissionQueue queue(options);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(queue.Push(MakeRequest(id)).ok());
+  }
+  std::vector<QueuedRequest> out;
+  EXPECT_EQ(queue.TryPopUpTo(3, &out), 3u);  // bounded by the limit
+  EXPECT_EQ(queue.depth(), 2u);
+  EXPECT_EQ(queue.stats().popped, 3u);
+  EXPECT_EQ(queue.TryPopUpTo(0, &out), 0u);
+  EXPECT_EQ(queue.TryPopUpTo(10, &out), 2u);  // bounded by the depth; appends
+  EXPECT_EQ(queue.TryPopUpTo(10, &out), 0u);
+  ASSERT_EQ(out.size(), 5u);
+  for (uint64_t id = 1; id <= 5; ++id) EXPECT_EQ(out[id - 1].id, id);
+  EXPECT_EQ(queue.stats().popped, 5u);
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST(AdmissionQueueTest, TryPopUpToUnblocksEveryProducerItFreesASlotFor) {
+  AdmissionQueueOptions options;
+  options.capacity = 2;
+  options.policy = OverflowPolicy::kBlockWithDeadline;
+  AdmissionQueue queue(options);
+  ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
+  ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
+  // Two producers park at capacity; one batch pop frees both their slots.
+  const auto deadline = Clock::System()->Now() + nanoseconds(std::chrono::seconds(10));
+  std::vector<Status> pushed(2, Status::Internal("unset"));
+  ThreadPool producers(2);
+  for (size_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(producers
+                    .Submit([&, p] {
+                      pushed[p] = queue.Push(MakeRequest(3 + p, nanoseconds{0}, deadline));
+                    })
+                    .ok());
+  }
+  // lint ok: the producers must be parked on the real CV before the pop
+  std::this_thread::sleep_for(milliseconds(20));  // lint ok: see above
+  std::vector<QueuedRequest> out;
+  const auto popped_at = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.TryPopUpTo(2, &out), 2u);
+  producers.Wait();
+  // Woken by the pop, not by their own deadline: a producer whose wake-up
+  // was lost only finds its free slot when the 10 s wait times out.
+  EXPECT_LT(std::chrono::steady_clock::now() - popped_at, std::chrono::seconds(5));
+  EXPECT_TRUE(pushed[0].ok()) << pushed[0].ToString();
+  EXPECT_TRUE(pushed[1].ok()) << pushed[1].ToString();
+  EXPECT_EQ(queue.depth(), 2u);
+  EXPECT_EQ(queue.stats().expired_blocking, 0u);
 }
 
 TEST(AdmissionQueueTest, InjectedFullFaultRejectsRegardlessOfDepth) {
@@ -310,14 +387,7 @@ TEST_F(ServingFrontEndTest, ResultsMatchScalarReference) {
   }
   serving->Pump(/*force_flush=*/true);
   for (size_t i = 0; i < trace.num_rows(); ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.value().label, forest.Predict(trace.Row(i)));
-    const std::vector<int> expected_votes = forest.PredictAll(trace.Row(i));
-    ASSERT_EQ(result.value().votes.size(), expected_votes.size());
-    for (size_t t = 0; t < expected_votes.size(); ++t) {
-      EXPECT_EQ(static_cast<int>(result.value().votes[t]), expected_votes[t]);
-    }
+    ExpectMatchesForest(forest, trace.Row(i), futures[i].get());
   }
   const auto stats = serving->stats();
   EXPECT_EQ(stats.submitted, trace.num_rows());
@@ -457,6 +527,40 @@ TEST_F(ServingFrontEndTest, BackgroundDispatcherServesConcurrentClients) {
   EXPECT_EQ(stats.completed_ok, trace.num_rows());
   EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.batched_rows, trace.num_rows());
+}
+
+TEST_F(ServingFrontEndTest, DispatcherCoalescesABacklog) {
+  // A backlog is already past max_batch_delay when the dispatcher reaches
+  // it; it must still leave as full batches, not one row at a time.
+  auto forest = TrainForest(11);
+  ServingOptions options;
+  options.batch.max_batch_rows = 16;
+  options.batch.max_batch_delay = microseconds(200);
+  auto created = ServingFrontEnd::Create(FlatOf(forest), options);
+  ASSERT_TRUE(created.ok());
+  auto serving = created.MoveValue();
+  FaultSpec spec;
+  spec.stall = milliseconds(200);  // the first batch only
+  spec.max_fires = 1;
+  ScopedFault fault("serve.batch.stall", spec);
+  auto trace = data::synthetic::MakeBlobs(12, 1 + options.batch.max_batch_rows, 6, 1.5);
+  std::vector<std::future<Result<PredictResult>>> futures;
+  futures.push_back(serving->SubmitPredict(trace.Row(0)));
+  // The one-row first batch is stalled: queue the backlog behind it.
+  while (FaultInjection::FireCount("serve.batch.stall") == 0) {
+    std::this_thread::yield();
+  }
+  for (size_t i = 1; i < trace.num_rows(); ++i) {
+    futures.push_back(serving->SubmitPredict(trace.Row(i)));
+  }
+  for (size_t i = 0; i < trace.num_rows(); ++i) {
+    ExpectMatchesForest(forest, trace.Row(i), futures[i].get());
+  }
+  serving->Shutdown();
+  const auto stats = serving->stats();
+  EXPECT_EQ(stats.completed_ok, trace.num_rows());
+  EXPECT_EQ(stats.max_batch_rows, options.batch.max_batch_rows);
+  EXPECT_LE(stats.batches, 3u);  // not one batch per backlog row
 }
 
 // ---------------------------------------------------------------------------
