@@ -6,14 +6,10 @@
 // benchmark is paired with its retained naive reference (`*Reference`,
 // per-node re-sorting) measured in the SAME run — the two produce
 // bit-identical trees by the trainer equivalence contract, so the gap is
-// pure engine. Benchmarks whose column sort, binning pass or tree fan-out
-// runs on the thread pool report real time (UseRealTime): CPU time would
-// count only the main thread.
+// pure engine. Benchmarks whose column sort or tree fan-out runs on the
+// thread pool report real time (UseRealTime): CPU time would count only the
+// main thread.
 //
-// The BM_Million* family is the histogram trainer gate (PR 8): the exact
-// engine vs the opt-in binned-gradient engine on a ONE-MILLION-row fixture,
-// paired in the same run for tree, forest and GBDT, with held-out accuracy
-// reported as counters so the speedup is visibly not bought with accuracy.
 // Reference run committed as bench/BENCH_train.json (see bench/README.md).
 
 #include <benchmark/benchmark.h>
@@ -25,7 +21,6 @@
 #include "boosting/gbdt.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
-#include "tree/binned_columns.h"
 #include "tree/decision_tree.h"
 #include "tree/sorted_columns.h"
 
@@ -221,149 +216,6 @@ void BM_GbdtFit(benchmark::State& state) {
 BENCHMARK(BM_GbdtFit)
     ->Args({2000, 10, 50})
     ->Args({4000, 20, 50})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// ------------------------------------------- million-row histogram gate ----
-
-constexpr size_t kMillionRows = 1'000'000;
-constexpr size_t kMillionFeatures = 16;
-
-// Built once via the chunked fast path (bitwise-identical to MakeBlobs,
-// regression-tested) and shared by every BM_Million* benchmark.
-const data::Dataset& MillionBlobs() {
-  static const data::Dataset* data = new data::Dataset(
-      data::synthetic::MakeBlobsChunked(77, kMillionRows, kMillionFeatures, 1.2));
-  return *data;
-}
-
-const data::Dataset& MillionHoldout() {
-  static const data::Dataset* data = new data::Dataset(
-      data::synthetic::MakeBlobsChunked(78, 50'000, kMillionFeatures, 1.2));
-  return *data;
-}
-
-tree::TreeConfig MillionTreeConfig(tree::TrainerMode mode) {
-  tree::TreeConfig config;
-  config.max_depth = 10;
-  config.min_samples_leaf = 20;
-  config.trainer_mode = mode;
-  return config;
-}
-
-void BM_MillionSortedColumnsBuild(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  for (auto _ : state) {
-    auto sorted = tree::SortedColumns::Build(data);
-    benchmark::DoNotOptimize(sorted);
-  }
-}
-BENCHMARK(BM_MillionSortedColumnsBuild)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_MillionBinnedColumnsBuild(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  for (auto _ : state) {
-    auto binned = tree::BinnedColumns::Build(data);
-    benchmark::DoNotOptimize(binned);
-  }
-}
-BENCHMARK(BM_MillionBinnedColumnsBuild)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_MillionTreeFitExact(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  auto config = MillionTreeConfig(tree::TrainerMode::kExact);
-  for (auto _ : state) {
-    auto fitted = tree::DecisionTree::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-BENCHMARK(BM_MillionTreeFitExact)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_MillionTreeFitHistogram(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  auto config = MillionTreeConfig(tree::TrainerMode::kHistogram);
-  for (auto _ : state) {
-    auto fitted = tree::DecisionTree::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-BENCHMARK(BM_MillionTreeFitHistogram)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void MillionForestBody(benchmark::State& state, tree::TrainerMode mode) {
-  const auto& data = MillionBlobs();
-  forest::ForestConfig config;
-  config.num_trees = 4;
-  config.seed = 5;
-  config.num_threads = 1;
-  config.tree = MillionTreeConfig(mode);
-  for (auto _ : state) {
-    auto fitted = forest::RandomForest::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-
-void BM_MillionForestFitExact(benchmark::State& state) {
-  MillionForestBody(state, tree::TrainerMode::kExact);
-}
-BENCHMARK(BM_MillionForestFitExact)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_MillionForestFitHistogram(benchmark::State& state) {
-  MillionForestBody(state, tree::TrainerMode::kHistogram);
-}
-BENCHMARK(BM_MillionForestFitHistogram)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// GBDT is where the bin-once multiplier pays: one binning pass serves every
-// boosting round, and each round's split search is O(bins), not O(rows).
-void MillionGbdtBody(benchmark::State& state, tree::TrainerMode mode) {
-  const auto& data = MillionBlobs();
-  boosting::GbdtConfig config;
-  config.num_trees = 10;
-  config.tree.max_depth = 8;
-  config.tree.min_samples_leaf = 20;
-  config.tree.trainer_mode = mode;
-  for (auto _ : state) {
-    auto fitted = boosting::Gbdt::Fit(data, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(config.num_trees));
-}
-
-void BM_MillionGbdtFitExact(benchmark::State& state) {
-  MillionGbdtBody(state, tree::TrainerMode::kExact);
-}
-BENCHMARK(BM_MillionGbdtFitExact)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_MillionGbdtFitHistogram(benchmark::State& state) {
-  MillionGbdtBody(state, tree::TrainerMode::kHistogram);
-}
-BENCHMARK(BM_MillionGbdtFitHistogram)
-    ->Iterations(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "predict/batch_predictor.h"
 #include "predict/flat_cache.h"
-#include "tree/histogram_core.h"
 
 namespace treewm::boosting {
 
@@ -45,23 +44,10 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
   model.trees_.reserve(config.num_trees);
 
   // The row set never changes across boosting rounds, so the per-feature
-  // preprocessing is paid ONCE here and amortized over every tree of every
-  // stage: the column sort for the exact engine, the binning pass for the
-  // histogram engine (the big sort-once / bin-once multiplier for GBDT).
-  std::shared_ptr<const tree::SortedColumns> sorted;
-  std::shared_ptr<const tree::BinnedColumns> binned;
-  const bool histogram =
-      config.tree.trainer_mode == tree::TrainerMode::kHistogram;
-  if (histogram) {
-    std::unique_ptr<ThreadPool> local_pool;
-    ThreadPool* pool =
-        tree::ResolveTrainerPool(config.tree.num_threads, &local_pool);
-    TREEWM_ASSIGN_OR_RETURN(
-        binned, tree::BinnedColumns::Build(
-                    dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
-  } else {
-    sorted = tree::SortedColumns::Build(dataset);
-  }
+  // column sort is paid ONCE here and amortized over every tree of every
+  // stage (the big sort-once multiplier for GBDT).
+  const std::shared_ptr<const tree::SortedColumns> sorted =
+      tree::SortedColumns::Build(dataset);
 
   for (size_t round = 0; round < config.num_trees; ++round) {
     // Negative gradient of logistic loss: y01 - sigmoid(F).
@@ -71,8 +57,7 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
     }
     TREEWM_ASSIGN_OR_RETURN(
         RegressionTree tree,
-        RegressionTree::Fit(dataset, residuals, config.tree, sorted.get(),
-                            binned.get()));
+        RegressionTree::Fit(dataset, residuals, config.tree, sorted.get()));
 
     // Newton step per leaf: gamma = sum(residual) / sum(p(1-p)).
     std::vector<double> numerator(tree.nodes().size(), 0.0);

@@ -34,6 +34,10 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
     if (!initialized) {
       dataset = Dataset(fields.size() - 1);
       initialized = true;
+    } else if (fields.size() - 1 != dataset.num_features()) {
+      return Status::ParseError(StrFormat("line %zu: %zu fields, earlier rows have %zu",
+                                          line_no, fields.size(),
+                                          dataset.num_features() + 1));
     }
     row.clear();
     int label = 0;

@@ -4,7 +4,8 @@
 // column (default: last). Labels may be +1/-1 or 0/1 (0 maps to -1); any
 // other label value, including a fractional one, is a ParseError naming the
 // line, as is a finite feature value past float range (literal inf/-inf and
-// nan cells load as such).
+// nan cells load as such) or a row whose field count differs from the
+// earlier rows'.
 
 #ifndef TREEWM_DATA_CSV_H_
 #define TREEWM_DATA_CSV_H_

@@ -44,14 +44,6 @@ class Dataset {
   /// `label` must be +1 or -1.
   [[nodiscard]] Status AddRow(std::span<const float> features, int label);
 
-  /// Appends `labels.size()` rows at once from a row-major block;
-  /// `values.size()` must equal labels.size() * num_features() and every
-  /// label must be ±1. One bounds check and two bulk inserts for the whole
-  /// block — the fast path chunked generators feed (AddRow validates and
-  /// grows per row, which dominates at millions of rows).
-  [[nodiscard]] Status AppendBlock(std::span<const float> values,
-                                   std::span<const int8_t> labels);
-
   /// Feature j of row i (unchecked in release builds).
   float At(size_t i, size_t j) const {
     return values_[i * num_features_ + j];

@@ -49,16 +49,6 @@ Dataset MakeIjcnn1Like(uint64_t seed, size_t num_rows = kIjcnn1Rows);
 Dataset MakeBlobs(uint64_t seed, size_t num_rows, size_t num_features,
                   double class_separation = 2.0, double positive_fraction = 0.5);
 
-/// MakeBlobs at million-row scale: bitwise-identical output to MakeBlobs for
-/// the same (seed, rows, features, separation, fraction) — regression-tested
-/// — but the storage is reserved up front and rows are generated into
-/// `chunk_rows`-row blocks appended via Dataset::AppendBlock, so the hot
-/// path pays no per-row validation or incremental reallocation.
-Dataset MakeBlobsChunked(uint64_t seed, size_t num_rows, size_t num_features,
-                         double class_separation = 2.0,
-                         double positive_fraction = 0.5,
-                         size_t chunk_rows = 65536);
-
 /// XOR-like checkerboard over the first two features — needs depth ≥ 2 trees;
 /// for tests of tree expressiveness.
 Dataset MakeXor(uint64_t seed, size_t num_rows, size_t num_features = 2);

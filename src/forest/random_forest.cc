@@ -38,8 +38,7 @@ size_t FeaturesPerTree(double fraction, size_t d) {
 
 Result<RandomForest> RandomForest::Fit(
     const data::Dataset& dataset, const std::vector<double>& weights,
-    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted,
-    std::shared_ptr<const tree::BinnedColumns> binned) {
+    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted) {
   TREEWM_RETURN_IF_ERROR(config.Validate());
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot fit a forest on an empty dataset");
@@ -50,23 +49,7 @@ Result<RandomForest> RandomForest::Fit(
     return Status::InvalidArgument(
         StrFormat("weights size %zu != rows %zu", weights.size(), dataset.num_rows()));
   }
-  const bool histogram =
-      config.tree.trainer_mode == tree::TrainerMode::kHistogram;
-  if (histogram) {
-    if (sorted != nullptr) {
-      return Status::InvalidArgument(
-          "histogram trainer mode takes binned columns, not sorted columns");
-    }
-    if (binned != nullptr) {
-      TREEWM_RETURN_IF_ERROR(tree::ValidateBinnedMatch(binned.get(), dataset));
-    }
-  } else {
-    if (binned != nullptr) {
-      return Status::InvalidArgument(
-          "binned columns passed but trainer_mode is exact");
-    }
-    TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted.get(), dataset));
-  }
+  TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted.get(), dataset));
 
   const size_t d = dataset.num_features();
   const size_t features_per_tree = FeaturesPerTree(config.feature_fraction, d);
@@ -96,19 +79,9 @@ Result<RandomForest> RandomForest::Fit(
     pool = local_pool.get();
   }
 
-  // One preprocessing pass per dataset, shared immutably across all workers:
-  // the column sort (exact engine; every tree's TrainerCore copies just its
-  // subset's presorted columns) or the binning pass (histogram engine; trees
-  // read the shared codes directly). Intra-tree parallelism nests safely —
-  // ParallelFor runs inline on worker threads, so per-tree histogram
-  // fan-outs degrade to serial inside forest workers instead of deadlocking.
-  if (histogram) {
-    if (binned == nullptr) {
-      TREEWM_ASSIGN_OR_RETURN(
-          binned, tree::BinnedColumns::Build(
-                      dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
-    }
-  } else if (sorted == nullptr) {
+  // One column sort per dataset, shared immutably across all workers; every
+  // tree's TrainerCore copies just its subset's presorted columns from it.
+  if (sorted == nullptr) {
     sorted = tree::SortedColumns::Build(dataset);
     TREEWM_RETURN_IF_ERROR(sorted->status());
   }
@@ -117,7 +90,7 @@ Result<RandomForest> RandomForest::Fit(
   Status first_error;  // guarded by error_mutex inside the fan-out
   ParallelFor(pool, config.num_trees, [&](size_t t) {
     Result<tree::DecisionTree> fitted = tree::DecisionTree::Fit(
-        dataset, weights, config.tree, subsets[t], sorted.get(), binned.get());
+        dataset, weights, config.tree, subsets[t], sorted.get());
     if (fitted.ok()) {
       forest.trees_[t] = std::move(fitted).MoveValue();
     } else {

@@ -54,17 +54,10 @@ class RandomForest {
   /// Pass a prebuilt `sorted` to amortize the sort across many fits on the
   /// same rows (weight-boosting rounds, grid-search points on one fold);
   /// nullptr builds it internally.
-  ///
-  /// With config.tree.trainer_mode == kHistogram the approximate
-  /// binned-gradient engine runs instead, sharing one immutable
-  /// BinnedColumns across workers (pass prebuilt `binned` or nullptr to bin
-  /// internally with config.tree.max_bins). Mixing the substrates — or
-  /// passing `binned` in exact mode — is an InvalidArgument.
   [[nodiscard]] static Result<RandomForest> Fit(
       const data::Dataset& dataset, const std::vector<double>& weights,
       const ForestConfig& config,
-      std::shared_ptr<const tree::SortedColumns> sorted = nullptr,
-      std::shared_ptr<const tree::BinnedColumns> binned = nullptr);
+      std::shared_ptr<const tree::SortedColumns> sorted = nullptr);
 
   /// Assembles a forest from pre-trained trees (Algorithm 1's interleave
   /// step). All trees must agree on num_features.

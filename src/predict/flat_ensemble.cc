@@ -2,9 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <type_traits>
 
 namespace treewm::predict {
+
+namespace {
+
+/// True when `key` is FloatKey of some non-NaN float. A key outside that
+/// image would route rows unlike any packed threshold: a NaN key sends NaN
+/// rows left, and the raw -0.0 key (0x7FFFFFFF) sends ±0 rows right.
+bool IsThresholdKey(uint32_t key) {
+  const uint32_t bits = (key & 0x80000000u) != 0 ? key ^ 0x80000000u : ~key;
+  float value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return (bits & 0x7FFFFFFFu) <= 0x7F800000u && FloatKey(value) == key;
+}
+
+}  // namespace
 
 template <typename Node>
 int64_t FlatEnsemble::PackTree(std::span<const Node> nodes,
@@ -111,6 +126,10 @@ Result<FlatEnsemble> FlatEnsemble::FromParts(
     const int32_t feature = n.feature();
     if (feature < 0 || static_cast<size_t>(feature) >= num_features) {
       return Status::InvalidArgument("flat ensemble split feature out of range");
+    }
+    if (!IsThresholdKey(n.threshold_key())) {
+      return Status::InvalidArgument(
+          "flat ensemble threshold key is not the key of a non-NaN float");
     }
     const int64_t own = static_cast<int64_t>(i) * static_cast<int64_t>(sizeof(FlatNode));
     for (int64_t c : {n.child[0], n.child[1]}) {

@@ -104,8 +104,10 @@ class FlatEnsemble {
   /// internal child offset is strictly greater than its parent's (the
   /// packer's invariant — source trees index children after parents — which
   /// guarantees every traversal terminates), every split feature is in
-  /// [0, num_features), classification leaves are ±1, and exactly the leaf
-  /// array matching `is_regression` is populated. Rejects with
+  /// [0, num_features), every threshold key is FloatKey of a non-NaN float
+  /// (so NaN rows still route right and -0.0 compares equal to +0.0),
+  /// classification leaves are ±1, and exactly the leaf array matching
+  /// `is_regression` is populated. Rejects with
   /// InvalidArgument; it does NOT re-derive which arena range belongs to
   /// which tree (roots may share subtrees without breaking safety).
   static Result<FlatEnsemble> FromParts(

@@ -88,8 +88,8 @@ inline float MidpointThreshold(float lo, float hi) {
 }
 
 /// InvalidArgument naming the first NaN of `dataset` (row-major order), else
-/// OK. Every training path runs it once per dataset before it sorts or bins
-/// a column: `a.value < b.value` is no strict weak ordering once NaN
+/// OK. Every training path runs it once per dataset before it sorts a
+/// column: `a.value < b.value` is no strict weak ordering once NaN
 /// appears, so sorting would be undefined behaviour. ±inf and -0.0 order
 /// fine and pass.
 [[nodiscard]] Status CheckOrderable(const data::Dataset& dataset);

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "tree/decision_tree.h"
 
 namespace treewm::data {
 namespace {
@@ -92,6 +97,73 @@ TEST(CsvParseTest, InexactLabelsAndOutOfRangeCellsFailClosed) {
   EXPECT_EQ(d.Label(0), kPositive);
   EXPECT_EQ(d.Label(1), kNegative);
   EXPECT_EQ(d.Label(2), kNegative);
+}
+
+// Seeded byte-level fuzz of the CSV boundary: 1-6 replace/insert/delete
+// edits of a valid text (odd seeds start from one holding a NaN cell, which
+// byte edits rarely spell), drawing bytes from number syntax, separators,
+// whitespace and arbitrary values. Parsing must fail with a ParseError or
+// yield a dataset; a dataset must either fail training with
+// InvalidArgument (it holds a NaN) or train identically on the engine and
+// the reference, and predict identically through the flat and scalar paths.
+TEST(CsvFuzzTest, EditedTextsParseOrFailClosedAndTrainConsistently) {
+  const std::string rows =
+      "0.25,1.5,-3,1\n0.5,2.5e-1,4,-1\n-0.75,3,0.125,0\n1e-3,-inf,7,1\n"
+      "0.5,0.5,inf,-1\n2,1.5,-3,1\n-0.0,8.5,2,0\n0.5,0.25,1,1\n";
+  const std::string valid[] = {rows, rows + "0.5,nan,2,-1\n"};
+  const std::string alphabet = "0123456789.,-+eEinfaINF \t\r\n";
+  size_t rejected = 0;
+  size_t trained = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    Rng rng(seed);
+    std::string text = valid[seed % 2];
+    const uint64_t edits = 1 + rng.UniformInt(6);
+    for (uint64_t e = 0; e < edits; ++e) {
+      const char byte =
+          rng.Bernoulli(0.2)
+              ? static_cast<char>(rng.UniformInt(256))
+              : alphabet[static_cast<size_t>(rng.UniformInt(alphabet.size()))];
+      const uint64_t op = text.empty() ? 1 : rng.UniformInt(3);
+      if (op == 1) {  // insert
+        text.insert(static_cast<size_t>(rng.UniformInt(text.size() + 1)), 1, byte);
+      } else {
+        const size_t at = static_cast<size_t>(rng.UniformInt(text.size()));
+        if (op == 0) {
+          text[at] = byte;
+        } else {
+          text.erase(at, 1);
+        }
+      }
+    }
+    auto result = ParseCsv(text);
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+          << "seed " << seed << ": " << result.status().ToString();
+      continue;
+    }
+    const Dataset& d = result.value();
+    bool has_nan = false;
+    for (float v : d.values()) has_nan = has_nan || std::isnan(v);
+    auto fast = tree::DecisionTree::Fit(d, {}, tree::TreeConfig{});
+    auto reference = tree::DecisionTree::FitReference(d, {}, tree::TreeConfig{});
+    if (has_nan) {
+      EXPECT_EQ(fast.status().code(), StatusCode::kInvalidArgument) << "seed " << seed;
+      EXPECT_EQ(reference.status().code(), StatusCode::kInvalidArgument)
+          << "seed " << seed;
+      ++rejected;
+      continue;
+    }
+    ASSERT_TRUE(fast.ok()) << "seed " << seed << ": " << fast.status().ToString();
+    ASSERT_TRUE(reference.ok()) << "seed " << seed;
+    ++trained;
+    EXPECT_TRUE(fast.value().StructurallyEqual(reference.value())) << "seed " << seed;
+    std::vector<int> scalar(d.num_rows());
+    for (size_t i = 0; i < d.num_rows(); ++i) scalar[i] = fast.value().Predict(d.Row(i));
+    EXPECT_EQ(fast.value().PredictBatch(d), scalar) << "seed " << seed;
+  }
+  // Both outcomes must be reached, or a property above would hold vacuously.
+  EXPECT_GT(rejected, 20u);
+  EXPECT_GT(trained, 20u);
 }
 
 TEST(CsvRoundTripTest, SaveThenLoadPreservesData) {

@@ -110,39 +110,6 @@ TEST(DatasetTest, AllValuesWithin) {
   EXPECT_FALSE(d.AllValuesWithin(0.2f, 1.0f));
 }
 
-TEST(DatasetTest, AppendBlockMatchesRowByRowAppend) {
-  Dataset block_built(2);
-  const std::vector<float> values{0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f};
-  const std::vector<int8_t> labels{+1, -1, +1};
-  ASSERT_TRUE(block_built.AppendBlock(values, labels).ok());
-
-  Dataset row_built = MakeToy();
-  ASSERT_EQ(block_built.num_rows(), row_built.num_rows());
-  EXPECT_EQ(block_built.values(), row_built.values());
-  EXPECT_EQ(block_built.labels(), row_built.labels());
-
-  // Appending to a non-empty dataset extends it.
-  ASSERT_TRUE(block_built.AppendBlock(values, labels).ok());
-  EXPECT_EQ(block_built.num_rows(), 6u);
-  EXPECT_FLOAT_EQ(block_built.At(4, 1), 0.4f);
-}
-
-TEST(DatasetTest, AppendBlockRejectsBadShapesAndLabels) {
-  Dataset d(2);
-  // Value count not a multiple of rows × features.
-  EXPECT_FALSE(
-      d.AppendBlock(std::vector<float>{1, 2, 3}, std::vector<int8_t>{+1}).ok());
-  // Bad label inside the block.
-  EXPECT_FALSE(
-      d.AppendBlock(std::vector<float>{1, 2}, std::vector<int8_t>{0}).ok());
-  // Nothing was committed by the failed calls.
-  EXPECT_EQ(d.num_rows(), 0u);
-  EXPECT_TRUE(d.values().empty());
-  // Zero-feature datasets cannot take blocks.
-  Dataset empty_schema(0);
-  EXPECT_FALSE(empty_schema.AppendBlock({}, std::vector<int8_t>{+1}).ok());
-}
-
 TEST(DatasetTest, NamePropagatesThroughSubset) {
   Dataset d = MakeToy();
   d.set_name("toy");

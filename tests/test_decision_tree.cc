@@ -234,6 +234,12 @@ TEST(FromNodesTest, ValidatesStructure) {
                                         TreeNode{-1, 0, -1, -1, -1}},
                                        3)
                    .ok());
+  // NaN threshold: no packed key order reproduces `x <= NaN`.
+  EXPECT_FALSE(DecisionTree::FromNodes({TreeNode{0, std::nanf(""), 1, 2, 0},
+                                        TreeNode{-1, 0, -1, -1, +1},
+                                        TreeNode{-1, 0, -1, -1, -1}},
+                                       3)
+                   .ok());
   // Orphan node (never referenced).
   EXPECT_FALSE(DecisionTree::FromNodes({TreeNode{-1, 0, -1, -1, +1},
                                         TreeNode{-1, 0, -1, -1, -1}},

@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "boosting/gbdt.h"
+#include "common/rng.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
 #include "predict/flat_ensemble.h"
@@ -24,9 +26,49 @@
 namespace treewm::predict {
 namespace {
 
+/// The float-domain edges blobs never reach: signed zeros, the two smallest
+/// denormals, half the smallest normal, the smallest normal, the finite
+/// extremes and the infinities, each with both signs.
+constexpr float kEdgeValues[] = {
+    0.0f,
+    -0.0f,
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    2 * std::numeric_limits<float>::denorm_min(),
+    -2 * std::numeric_limits<float>::denorm_min(),
+    std::numeric_limits<float>::min() / 2,
+    -std::numeric_limits<float>::min() / 2,
+    std::numeric_limits<float>::min(),
+    -std::numeric_limits<float>::min(),
+    std::numeric_limits<float>::max(),
+    -std::numeric_limits<float>::max(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+};
+
+/// Copy of `d` with each cell replaced, with probability `fraction`, by a
+/// kEdgeValues entry (or, when `with_nan`, by NaN as one more pool entry).
+data::Dataset WithEdgeValues(data::Dataset d, uint64_t seed, double fraction,
+                             bool with_nan) {
+  Rng rng(seed);
+  const size_t pool = std::size(kEdgeValues) + (with_nan ? 1 : 0);
+  for (size_t i = 0; i < d.num_rows(); ++i) {
+    for (size_t j = 0; j < d.num_features(); ++j) {
+      if (!rng.Bernoulli(fraction)) continue;
+      const size_t k = rng.UniformInt(pool);
+      d.SetAt(i, j, k < std::size(kEdgeValues)
+                        ? kEdgeValues[k]
+                        : std::numeric_limits<float>::quiet_NaN());
+    }
+  }
+  return d;
+}
+
 forest::RandomForest MakeForest(uint64_t seed, size_t num_trees, size_t rows,
-                                size_t features, int max_depth = -1) {
+                                size_t features, int max_depth = -1,
+                                double edge_fraction = 0.0) {
   auto d = data::synthetic::MakeBlobs(seed, rows, features, 1.0);
+  if (edge_fraction > 0.0) d = WithEdgeValues(d, seed + 1, edge_fraction, false);
   forest::ForestConfig config;
   config.num_trees = num_trees;
   config.seed = seed;
@@ -109,16 +151,23 @@ TEST(FlatEquivalenceTest, ForestBatchesMatchScalarAcrossRandomConfigs) {
       {14, 7, 64, 12, 2},  {15, 33, 301, 4, -1}, {16, 2, 1, 6, -1},
       {291, 12, 200, 6, -1},
   };
-  for (const Case& c : cases) {
-    auto forest = MakeForest(c.seed, c.trees, c.rows, c.features, c.max_depth);
-    auto probe = data::synthetic::MakeBlobs(c.seed + 100, c.rows, c.features, 0.7);
-    EXPECT_EQ(forest.PredictBatch(probe), reference::PredictBatch(forest, probe))
-        << "seed " << c.seed;
-    EXPECT_TRUE(SameVotes(forest.PredictAllVotes(probe),
-                          reference::PredictAllBatch(forest, probe)))
-        << "seed " << c.seed;
-    EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe))
-        << "seed " << c.seed;
+  // With `edges` > 0, training cells and query cells are also drawn from
+  // the float-domain edges, and query cells from NaN too.
+  for (double edges : {0.0, 0.2}) {
+    for (const Case& c : cases) {
+      auto forest =
+          MakeForest(c.seed, c.trees, c.rows, c.features, c.max_depth, edges);
+      auto probe =
+          data::synthetic::MakeBlobs(c.seed + 100, c.rows, c.features, 0.7);
+      if (edges > 0.0) probe = WithEdgeValues(probe, c.seed + 200, edges, true);
+      EXPECT_EQ(forest.PredictBatch(probe), reference::PredictBatch(forest, probe))
+          << "seed " << c.seed << " edges " << edges;
+      EXPECT_TRUE(SameVotes(forest.PredictAllVotes(probe),
+                            reference::PredictAllBatch(forest, probe)))
+          << "seed " << c.seed << " edges " << edges;
+      EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe))
+          << "seed " << c.seed << " edges " << edges;
+    }
   }
 }
 

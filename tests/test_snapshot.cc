@@ -63,6 +63,21 @@ std::vector<uint8_t> WithFixedCrc(std::vector<uint8_t> bytes) {
   return bytes;
 }
 
+/// Offset of the nodes section's payload (the first FlatNode record), or
+/// bytes.size() when the image has no nodes section.
+size_t NodesPayloadOffset(const std::vector<uint8_t>& bytes) {
+  size_t pos = 16;
+  while (pos + 12 <= bytes.size()) {
+    uint32_t id = 0;
+    uint64_t length = 0;
+    for (int i = 0; i < 4; ++i) id |= uint32_t{bytes[pos + i]} << (8 * i);
+    for (int i = 0; i < 8; ++i) length |= uint64_t{bytes[pos + 4 + i]} << (8 * i);
+    if (id == 3) return pos + 12;
+    pos += 12 + length;
+  }
+  return bytes.size();
+}
+
 void ExpectParseError(const Result<FlatEnsemble>& result, const char* what) {
   ASSERT_FALSE(result.ok()) << what;
   EXPECT_EQ(result.status().code(), StatusCode::kParseError) << what;
@@ -194,6 +209,17 @@ TEST(SnapshotTest, CraftedValidCrcMalformationsFailClosed) {
     ExpectParseError(DecodeEnsembleSnapshot(WithFixedCrc(bad)),
                      "zero features");
   }
+  {  // First split's threshold key rewritten to a NaN key (NaN rows would go
+     // left) and to the raw -0.0 key (±0 rows would go right).
+    const size_t key_at = NodesPayloadOffset(good) + 4;  // high half of ft
+    ASSERT_LE(key_at + 4, good.size());
+    for (uint32_t key : {0xFFC00000u, 0x7FFFFFFFu}) {
+      std::vector<uint8_t> bad = good;
+      for (int i = 0; i < 4; ++i) bad[key_at + i] = static_cast<uint8_t>(key >> (8 * i));
+      ExpectParseError(DecodeEnsembleSnapshot(WithFixedCrc(bad)),
+                       "threshold key outside FloatKey's image");
+    }
+  }
   {  // Section length grown past the file.
     std::vector<uint8_t> bad = good;
     bad[16 + 4 + 3] = 0x7F;  // high byte of the meta section's u64 length
@@ -231,11 +257,16 @@ struct Parts {
   double learning_rate = 0.0;
 };
 
-/// One tree: root splits feature 0, children are leaves 0 and 1.
+/// Packs split feature `feature` with threshold key `key` into a node's ft.
+uint64_t PackFt(uint32_t feature, uint32_t key) {
+  return feature | (uint64_t{key} << 32);
+}
+
+/// One tree: root splits feature 0 at 0.5, children are leaves 0 and 1.
 Parts ValidParts() {
   Parts p;
   FlatNode n;
-  n.ft = 0;  // feature 0, threshold key 0
+  n.ft = PackFt(0, predict::FloatKey(0.5f));
   n.child[0] = ~int64_t{0};
   n.child[1] = ~int64_t{1};
   n.pad = 0;
@@ -282,8 +313,23 @@ TEST(FromPartsTest, RejectsStructurallyBadArenas) {
   }
   {  // Split feature out of range.
     Parts p = ValidParts();
-    p.nodes[0].ft = 5;  // feature 5 of 2
+    p.nodes[0].ft = PackFt(5, predict::FloatKey(0.5f));  // feature 5 of 2
     EXPECT_FALSE(Build(p).ok());
+  }
+  // Threshold keys no non-NaN float maps to: NaN keys (either sign) would
+  // route NaN rows left, and the raw -0.0 key would route ±0 rows right.
+  for (uint32_t key : {0xFFC00000u, 0xFFFFFFFFu, 0xFF800001u, 0x007FFFFEu,
+                       0x00000000u, 0x7FFFFFFFu}) {
+    Parts p = ValidParts();
+    p.nodes[0].ft = PackFt(0, key);
+    EXPECT_FALSE(Build(p).ok()) << std::hex << key;
+  }
+  // The ends of the valid key range (-inf, +inf), the one key of ±0 and the
+  // key of -FLT_TRUE_MIN stay accepted.
+  for (uint32_t key : {0x007FFFFFu, 0xFF800000u, 0x80000000u, 0x7FFFFFFEu}) {
+    Parts p = ValidParts();
+    p.nodes[0].ft = PackFt(0, key);
+    EXPECT_TRUE(Build(p).ok()) << std::hex << key;
   }
   {  // Classification label must be exactly +1/-1.
     Parts p = ValidParts();

@@ -66,21 +66,6 @@ TEST(BlobsTest, SeparationControlsDifficulty) {
   EXPECT_GT(easy_rf.Accuracy(easy_tt.test), 0.95);
 }
 
-TEST(BlobsTest, ChunkedGeneratorIsBitIdenticalToUnchunked) {
-  // MakeBlobsChunked is the million-row fast path; its contract is bitwise
-  // identity with MakeBlobs — same RNG stream, same scaling — for every
-  // chunking, including chunk sizes that don't divide the row count and a
-  // chunk larger than the dataset.
-  const Dataset reference = MakeBlobs(91, 1000, 7, 1.3, 0.4);
-  for (size_t chunk : {1u, 97u, 256u, 1000u, 4096u}) {
-    const Dataset chunked = MakeBlobsChunked(91, 1000, 7, 1.3, 0.4, chunk);
-    ASSERT_EQ(chunked.num_rows(), reference.num_rows()) << "chunk=" << chunk;
-    EXPECT_EQ(chunked.values(), reference.values()) << "chunk=" << chunk;
-    EXPECT_EQ(chunked.labels(), reference.labels()) << "chunk=" << chunk;
-    EXPECT_EQ(chunked.name(), reference.name());
-  }
-}
-
 TEST(XorTest, RequiresDepthTwo) {
   Dataset d = MakeXor(5, 600);
   EXPECT_NEAR(d.PositiveFraction(), 0.5, 0.1);

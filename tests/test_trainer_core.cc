@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,16 +27,41 @@
 namespace treewm::tree {
 namespace {
 
+/// The orderable float-domain edges a [0, 1] grid never reaches: signed
+/// zeros, the two smallest denormals, half the smallest normal, the smallest
+/// normal, the finite extremes and the infinities, each with both signs.
+constexpr float kEdgeValues[] = {
+    0.0f,
+    -0.0f,
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    2 * std::numeric_limits<float>::denorm_min(),
+    -2 * std::numeric_limits<float>::denorm_min(),
+    std::numeric_limits<float>::min() / 2,
+    -std::numeric_limits<float>::min() / 2,
+    std::numeric_limits<float>::min(),
+    -std::numeric_limits<float>::min(),
+    std::numeric_limits<float>::max(),
+    -std::numeric_limits<float>::max(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+};
+
 /// A dataset drawn on a coarse value grid — duplicate feature values (tied
 /// runs) are the norm, not the exception, which is exactly what stresses the
-/// stable-tie accumulation contract.
+/// stable-tie accumulation contract. With `edge_fraction` > 0 each cell is
+/// instead drawn from kEdgeValues with that probability.
 data::Dataset MakeGridDataset(uint64_t seed, size_t rows, size_t features,
-                              uint64_t levels) {
+                              uint64_t levels, double edge_fraction = 0.0) {
   Rng rng(seed);
   data::Dataset d(features);
   std::vector<float> row(features);
   for (size_t i = 0; i < rows; ++i) {
     for (size_t j = 0; j < features; ++j) {
+      if (edge_fraction > 0.0 && rng.Bernoulli(edge_fraction)) {
+        row[j] = kEdgeValues[rng.UniformInt(std::size(kEdgeValues))];
+        continue;
+      }
       row[j] = static_cast<float>(rng.UniformInt(levels)) /
                static_cast<float>(levels > 1 ? levels - 1 : 1);
     }
@@ -180,36 +206,39 @@ TEST(TrainerEquivalenceTest, TreesMatchReferenceAcrossRandomizedSettings) {
   // the same node array (same features, bit-identical thresholds, same
   // child indices, same labels) as the retained naive reference.
   size_t cases = 0;
-  for (uint64_t levels : {4u, 16u, 1u << 20}) {
-    for (int weight_kind : {0, 1, 2}) {
-      for (SplitCriterion criterion :
-           {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
-        for (int limits = 0; limits < 3; ++limits) {
-          const uint64_t seed = 100 + cases;
-          data::Dataset d = MakeGridDataset(seed, 180, 5, levels);
-          std::vector<double> w = MakeWeights(seed * 7 + 1, 180, weight_kind);
-          TreeConfig config;
-          config.criterion = criterion;
-          if (limits == 1) {
-            config.max_leaf_nodes = 9;  // best-first growth
-            config.min_samples_leaf = 3;
-          } else if (limits == 2) {
-            config.max_depth = 4;
-            config.min_samples_split = 8;
+  for (double edges : {0.0, 0.2}) {
+    for (uint64_t levels : {4u, 16u, 1u << 20}) {
+      for (int weight_kind : {0, 1, 2}) {
+        for (SplitCriterion criterion :
+             {SplitCriterion::kGini, SplitCriterion::kEntropy}) {
+          for (int limits = 0; limits < 3; ++limits) {
+            const uint64_t seed = 100 + cases;
+            data::Dataset d = MakeGridDataset(seed, 180, 5, levels, edges);
+            std::vector<double> w = MakeWeights(seed * 7 + 1, 180, weight_kind);
+            TreeConfig config;
+            config.criterion = criterion;
+            if (limits == 1) {
+              config.max_leaf_nodes = 9;  // best-first growth
+              config.min_samples_leaf = 3;
+            } else if (limits == 2) {
+              config.max_depth = 4;
+              config.min_samples_split = 8;
+            }
+            auto fast = DecisionTree::Fit(d, w, config);
+            auto reference = DecisionTree::FitReference(d, w, config);
+            ASSERT_TRUE(fast.ok() && reference.ok());
+            EXPECT_TRUE(fast.value().StructurallyEqual(reference.value()))
+                << "edges=" << edges << " levels=" << levels
+                << " weights=" << weight_kind
+                << " criterion=" << static_cast<int>(criterion)
+                << " limits=" << limits;
+            ++cases;
           }
-          auto fast = DecisionTree::Fit(d, w, config);
-          auto reference = DecisionTree::FitReference(d, w, config);
-          ASSERT_TRUE(fast.ok() && reference.ok());
-          EXPECT_TRUE(fast.value().StructurallyEqual(reference.value()))
-              << "levels=" << levels << " weights=" << weight_kind
-              << " criterion=" << static_cast<int>(criterion)
-              << " limits=" << limits;
-          ++cases;
         }
       }
     }
   }
-  EXPECT_EQ(cases, 54u);
+  EXPECT_EQ(cases, 108u);
 }
 
 TEST(TrainerEquivalenceTest, WeightedTieRunsMatchBitForBit) {
@@ -283,21 +312,23 @@ TEST(TrainerEquivalenceTest, MismatchedSortedColumnsAreRejected) {
 }
 
 TEST(TrainerEquivalenceTest, RegressionTreesMatchReference) {
-  for (uint64_t levels : {3u, 12u, 1u << 20}) {
-    for (size_t msl : {1u, 4u}) {
-      const uint64_t seed = 200 + levels + msl;
-      data::Dataset d = MakeGridDataset(seed, 220, 4, levels);
-      Rng rng(seed + 1);
-      std::vector<double> targets(220);
-      for (auto& t : targets) t = rng.Gaussian();
-      boosting::RegressionTreeConfig config;
-      config.max_depth = 5;
-      config.min_samples_leaf = msl;
-      auto fast = boosting::RegressionTree::Fit(d, targets, config).MoveValue();
-      auto reference =
-          boosting::RegressionTree::FitReference(d, targets, config).MoveValue();
-      EXPECT_TRUE(RegressionTreesIdentical(fast, reference))
-          << "levels=" << levels << " msl=" << msl;
+  for (double edges : {0.0, 0.2}) {
+    for (uint64_t levels : {3u, 12u, 1u << 20}) {
+      for (size_t msl : {1u, 4u}) {
+        const uint64_t seed = 200 + levels + msl;
+        data::Dataset d = MakeGridDataset(seed, 220, 4, levels, edges);
+        Rng rng(seed + 1);
+        std::vector<double> targets(220);
+        for (auto& t : targets) t = rng.Gaussian();
+        boosting::RegressionTreeConfig config;
+        config.max_depth = 5;
+        config.min_samples_leaf = msl;
+        auto fast = boosting::RegressionTree::Fit(d, targets, config).MoveValue();
+        auto reference =
+            boosting::RegressionTree::FitReference(d, targets, config).MoveValue();
+        EXPECT_TRUE(RegressionTreesIdentical(fast, reference))
+            << "edges=" << edges << " levels=" << levels << " msl=" << msl;
+      }
     }
   }
 }
@@ -381,10 +412,6 @@ TEST(TrainerInputTest, NanTrainingDataIsRejectedWithItsPosition) {
   expect_rejected(
       boosting::RegressionTree::FitReference(d, targets, {}).status(),
       "RegressionTree::FitReference");
-  TreeConfig histogram;
-  histogram.trainer_mode = TrainerMode::kHistogram;
-  expect_rejected(DecisionTree::Fit(d, {}, histogram).status(),
-                  "DecisionTree::Fit (histogram)");
 
   // Infinities and negative zero are ordered: exact == reference holds.
   data::Dataset edges(4);
